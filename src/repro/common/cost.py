@@ -65,11 +65,6 @@ class CostModel:
     driver_overhead_s: float = 1.2
     #: per-row CPU cost of engine-side operators (filter/project/join probe) (s)
     row_cpu_s: float = 1.2e-5
-    #: per-row CPU cost of the same operators under vectorized batch
-    #: execution (``sql.vectorized.enabled``): column kernels amortise the
-    #: per-row interpreter dispatch across a RecordBatch, modeled as a flat
-    #: 4x reduction (docs/vectorized.md)
-    vector_row_cpu_s: float = 3.0e-6
     #: shuffle write+read bandwidth (bytes/s)
     shuffle_bytes_per_sec: float = 7_000.0
     #: fixed cost per shuffle exchange (s)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
+from repro.common import conf_flag
 from repro.common.errors import CatalogError, HBaseError
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
 from repro.core.coders import get_coder
@@ -36,8 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: the full Spark format name from the paper's code listings
 DEFAULT_FORMAT = "org.apache.spark.sql.execution.datasources.hbase"
 QUORUM_OPTION = Configuration.QUORUM
-
-_TRUE = ("true", "1", "yes", "on", True)
 
 
 class HBaseRelation(BaseRelation):
@@ -99,12 +98,10 @@ class HBaseRelation(BaseRelation):
 
     # -- feature toggles -------------------------------------------------------
     def _flag(self, key: str, default: bool = True) -> bool:
-        value = self.options.get(key)
-        if value is None:
-            value = self.session.conf.get(key)
-        if value is None:
-            return default
-        return str(value).lower() in ("true", "1", "yes", "on")
+        """A per-read option wins over the session conf of the same key."""
+        source = (self.options if self.options.get(key) is not None
+                  else self.session.conf)
+        return conf_flag(source, key, default)
 
     @property
     def pushdown_enabled(self) -> bool:

@@ -33,6 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.common import conf_flag
 from repro.common.errors import OverloadedError, ReproError
 from repro.common.faults import FAULT_ADMISSION
 from repro.common.metrics import MetricsRegistry
@@ -102,7 +103,7 @@ class ServingConfig:
                 "serving.breaker.latency.threshold.s"),
         )
         return cls(
-            enabled=bool(conf.get("serving.enabled", True)),
+            enabled=conf_flag(conf, "serving.enabled", True),
             max_queue_depth=int(conf.get("serving.queue.max.depth", 16)),
             slots_per_query=int(conf.get("serving.slots.per.query", 2)),
             deadline_s=_opt_float("serving.deadline.s"),
@@ -534,7 +535,7 @@ class QueryServer:
             self.metrics.incr("serving.shed.deadline")
         else:
             self.metrics.incr("serving.shed.injected")
-        if bool(self.session.conf.get("tracing.enabled", False)):
+        if conf_flag(self.session.conf, "tracing.enabled"):
             span = Span("query", "query", tenant=ticket.tenant)
             span.event("shed", tenant=ticket.tenant, reason=reason,
                        retry_after_s=retry_after_s,

@@ -19,6 +19,7 @@ import itertools
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.common import conf_flag
 from repro.common.errors import AnalysisError
 from repro.common.metrics import MetricsRegistry
 from repro.common.tracing import NOOP_SPAN
@@ -58,7 +59,7 @@ class ExecContext:
         self.operator_stats: Dict[int, Dict[str, object]] = {}
         #: adaptive query execution (docs/adaptive.md); off by default so
         #: the non-adaptive path stays byte-identical
-        self.adaptive = bool(conf.get("sql.aqe.enabled", False))
+        self.adaptive = conf_flag(conf, "sql.aqe.enabled")
         #: re-optimisation decisions taken at stage barriers, in decision
         #: order; EXPLAIN ANALYZE renders these as the adaptive section
         self.reopt_events: List[Dict[str, object]] = []
@@ -140,12 +141,6 @@ class PhysicalPlan:
     ``ExecContext.operator_stats`` and ``StageInfo.scope`` refer back to it,
     which is how EXPLAIN ANALYZE joins runtime numbers onto plan nodes.
     """
-
-    #: True when ``execute`` returns an RDD of
-    #: :class:`~repro.sql.columnar.RecordBatch` instead of row tuples; the
-    #: vectorizing planner pass (:mod:`repro.sql.vectorized`) inserts
-    #: explicit transitions wherever producer and consumer modes differ
-    columnar_output = False
 
     def __init__(self, output: Sequence[E.Attribute],
                  children: Sequence["PhysicalPlan"] = ()) -> None:
@@ -229,14 +224,7 @@ class DataSourceScanExec(PhysicalPlan):
         #: enforced engine-side by whoever injected them
         self.runtime_filters: List[SourceFilter] = []
 
-    def execute_source(self, ctx: ExecContext) -> RDD:
-        """Build the relation scan and record its stats -- residual not applied.
-
-        Split out of :meth:`execute` so the vectorized scan
-        (:class:`~repro.sql.vectorized.VectorScanExec`) can reuse the exact
-        pushdown/pruning/accounting path while applying the residual filter
-        batch-at-a-time instead of row-at-a-time.
-        """
+    def execute(self, ctx: ExecContext) -> RDD:
         required = [a.name for a in self.output]
         span = ctx.trace.child(
             f"scan-plan:{self.relation_name or type(self.relation).__name__}",
@@ -290,10 +278,6 @@ class DataSourceScanExec(PhysicalPlan):
         if span.enabled:
             span.set(**stats)
             span.finish()
-        return rdd
-
-    def execute(self, ctx: ExecContext) -> RDD:
-        rdd = self.execute_source(ctx)
         if self.residual is not None:
             bound = E.bind_expression(self.residual, self.output)
             per_row = ctx.cost.row_cpu_s
@@ -509,15 +493,9 @@ class HashAggregateExec(PhysicalPlan):
         self.groupings = list(groupings)
         self.aggregate_list = list(aggregate_list)
 
-    def _agg_setup(self):
-        """Bind groupings, aggregate instances and result expressions.
-
-        Shared with the vectorized subclass
-        (:class:`~repro.sql.vectorized.VectorHashAggregateExec`), which only
-        swaps the partial-build closure: accumulator protocol, merge and
-        result evaluation stay this exact code on both paths.
-        """
-        child_attrs = self.children[0].output
+    def execute(self, ctx: ExecContext) -> RDD:
+        child = self.children[0]
+        child_attrs = child.output
         bound_groupings = [E.bind_expression(g, child_attrs) for g in self.groupings]
 
         # collect the distinct aggregate function instances, in plan order
@@ -547,11 +525,9 @@ class HashAggregateExec(PhysicalPlan):
             self._result_expr(item, key_position, agg_position, self.groupings)
             for item in self.aggregate_list
         ]
-        return bound_groupings, bound_aggs, result_exprs
 
-    def _make_partial(self, ctx: ExecContext, bound_groupings, bound_aggs):
-        """The map-side build closure: rows in, ``(key, accs)`` pairs out."""
         per_row = ctx.cost.row_cpu_s
+        global_agg = not self.groupings
 
         def partial(rows, task_ctx):
             table: Dict[tuple, list] = {}
@@ -567,15 +543,6 @@ class HashAggregateExec(PhysicalPlan):
                     accs[i] = agg.update(accs[i], row)
             task_ctx.ledger.charge(per_row * count, "engine.rows_processed", count)
             return iter(table.items())
-
-        return partial
-
-    def execute(self, ctx: ExecContext) -> RDD:
-        child = self.children[0]
-        bound_groupings, bound_aggs, result_exprs = self._agg_setup()
-        per_row = ctx.cost.row_cpu_s
-        global_agg = not self.groupings
-        partial = self._make_partial(ctx, bound_groupings, bound_aggs)
 
         def final(pairs, task_ctx):
             table: Dict[tuple, list] = {}
@@ -710,22 +677,25 @@ def _make_join_reducer(how: str, left_width: int, right_width: int,
     return join_partition
 
 
-def _make_keyed_probe(table: Dict[tuple, List[tuple]], how: str,
-                      left_width: int, right_width: int,
-                      residual_bound: Optional[E.Expression], per_row: float,
-                      on_output: Callable[[int, int], None]):
-    """Probe a broadcast ``table`` with pre-keyed ``(key, row)`` pairs.
+def _make_broadcast_probe(table: Dict[tuple, List[tuple]],
+                          bound_keys: Sequence[E.Expression], how: str,
+                          left_width: int, right_width: int,
+                          residual_bound: Optional[E.Expression], per_row: float,
+                          on_output: Callable[[int, int], None]):
+    """Build the probe-side closure of a broadcast hash join.
 
-    The join body shared by the row probe (:func:`_make_broadcast_probe`)
-    and the vectorized probe, which computes its keys batch-at-a-time
-    (:class:`~repro.sql.vectorized.VectorBroadcastHashJoinExec`); both paths
-    therefore match, filter and count output identically.
+    Streams the big side against the broadcast ``table``; like
+    :func:`_make_join_reducer` it counts its output rows/bytes so join
+    volume is observable regardless of strategy.  Shared between
+    :class:`BroadcastHashJoinExec` and the adaptive executor's
+    broadcast-conversion rule.
     """
 
-    def probe_keyed(keyed_rows, task_ctx):
+    def probe(rows, task_ctx):
         out_count = 0
         out_bytes = 0
-        for key, left_row in keyed_rows:
+        for left_row in rows:
+            key = tuple(k.eval(left_row) for k in bound_keys)
             matches = table.get(key, []) if None not in key else []
             emitted = False
             for right_row in matches:
@@ -754,29 +724,6 @@ def _make_keyed_probe(table: Dict[tuple, List[tuple]], how: str,
         task_ctx.ledger.count("engine.join.bytes_out", out_bytes)
         on_output(out_count, out_bytes)
         task_ctx.ledger.charge(per_row * out_count, "engine.rows_processed", out_count)
-
-    return probe_keyed
-
-
-def _make_broadcast_probe(table: Dict[tuple, List[tuple]],
-                          bound_keys: Sequence[E.Expression], how: str,
-                          left_width: int, right_width: int,
-                          residual_bound: Optional[E.Expression], per_row: float,
-                          on_output: Callable[[int, int], None]):
-    """Build the probe-side closure of a broadcast hash join.
-
-    Streams the big side against the broadcast ``table``; like
-    :func:`_make_join_reducer` it counts its output rows/bytes so join
-    volume is observable regardless of strategy.  Shared between
-    :class:`BroadcastHashJoinExec` and the adaptive executor's
-    broadcast-conversion rule.
-    """
-    probe_keyed = _make_keyed_probe(table, how, left_width, right_width,
-                                    residual_bound, per_row, on_output)
-
-    def probe(rows, task_ctx):
-        keyed = ((tuple(k.eval(r) for k in bound_keys), r) for r in rows)
-        return probe_keyed(keyed, task_ctx)
 
     return probe
 
@@ -849,14 +796,21 @@ class BroadcastHashJoinExec(PhysicalPlan):
         self.how = how
         self.residual = residual
 
-    def _broadcast_build(self, ctx: ExecContext) -> Dict[tuple, List[tuple]]:
-        """Collect the (small) right side as a driver sub-job and hash it.
-
-        Shared with the vectorized variant: broadcast volume accounting and
-        table layout are identical whichever probe consumes the table.
-        """
-        right = self.children[1]
+    def execute(self, ctx: ExecContext) -> RDD:
+        self._record_cbo_estimate(ctx)
+        left, right = self.children
+        bound_left = [E.bind_expression(k, left.output) for k in self.left_keys]
         bound_right = [E.bind_expression(k, right.output) for k in self.right_keys]
+        left_width, right_width = len(left.output), len(right.output)
+        combined_attrs = list(left.output) + list(right.output)
+        residual_bound = (
+            E.bind_expression(self.residual, combined_attrs)
+            if self.residual is not None else None
+        )
+        how = self.how
+        per_row = ctx.cost.row_cpu_s
+
+        # collect + broadcast the build side
         build_rows = ctx.run_job(right.execute(ctx)).rows()
         build_bytes = sum(estimate_size(r) for r in build_rows)
         executors = len(ctx.scheduler.cluster.executors)
@@ -869,21 +823,6 @@ class BroadcastHashJoinExec(PhysicalPlan):
             key = tuple(k.eval(row) for k in bound_right)
             if None not in key:
                 table.setdefault(key, []).append(row)
-        return table
-
-    def execute(self, ctx: ExecContext) -> RDD:
-        self._record_cbo_estimate(ctx)
-        left, right = self.children
-        bound_left = [E.bind_expression(k, left.output) for k in self.left_keys]
-        left_width, right_width = len(left.output), len(right.output)
-        combined_attrs = list(left.output) + list(right.output)
-        residual_bound = (
-            E.bind_expression(self.residual, combined_attrs)
-            if self.residual is not None else None
-        )
-        how = self.how
-        per_row = ctx.cost.row_cpu_s
-        table = self._broadcast_build(ctx)
 
         probe = _make_broadcast_probe(
             table, bound_left, how, left_width, right_width, residual_bound,

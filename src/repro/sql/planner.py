@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common import conf_flag
 from repro.common.errors import AnalysisError
 from repro.sql import expressions as E
 from repro.sql import logical as L
@@ -93,11 +94,11 @@ class Planner:
         self.metrics = metrics
         self.estimator = None
         self.semijoin_enabled = False
-        if stats is not None and bool(conf.get("sql.cbo.enabled", False)):
+        if stats is not None and conf_flag(conf, "sql.cbo.enabled"):
             from repro.sql.cbo import CardinalityEstimator
 
             self.estimator = CardinalityEstimator(stats, conf, metrics)
-            self.semijoin_enabled = bool(conf.get("sql.cbo.semijoin", True))
+            self.semijoin_enabled = conf_flag(conf, "sql.cbo.semijoin", True)
             self.semijoin_max_build = int(
                 conf.get("sql.cbo.semijoin.maxBuildRows", 10000))
             self.semijoin_min_reduction = float(
@@ -107,33 +108,22 @@ class Planner:
         #: adaptive query execution (docs/adaptive.md): shuffled joins plan
         #: as AdaptiveJoinExec stage barriers instead of committing to a
         #: strategy from size estimates
-        self.adaptive = bool(conf.get("sql.aqe.enabled", False))
+        self.adaptive = conf_flag(conf, "sql.aqe.enabled")
         self.local_scan_partitions = int(conf.get("sql.local.scan.partitions", 2))
-        #: vectorized batch execution (docs/vectorized.md): plan_query rewrites
-        #: the finished tree into batch-at-a-time operators where kernels exist
-        self.vectorized = bool(conf.get("sql.vectorized.enabled", False))
         #: replica-aware scan routing (docs/replication.md): the session-level
         #: hbase.read.replica flag, stamped onto scans so EXPLAIN ANALYZE can
         #: surface routing intent (the relation re-reads the flag at scan
         #: build time, where per-read options can still override it)
-        self.replica_reads = str(
-            conf.get("hbase.read.replica", "")).lower() in ("true", "1",
-                                                            "yes", "on")
+        self.replica_reads = conf_flag(conf, "hbase.read.replica")
 
     def plan_query(self, node: L.LogicalPlan) -> P.PhysicalPlan:
-        """Compile a whole query: :meth:`plan` plus the vectorization pass.
+        """Compile a whole query.
 
-        ``plan`` recurses per subtree, so the batch-mode rewrite (which must
-        see the finished tree to place columnar/row transitions) hangs off
-        this entry point instead; execution paths call ``plan_query``, tests
-        poking at individual strategies keep calling ``plan``.
+        The single entry point execution paths call; :meth:`plan` recurses
+        per subtree and stays available to tests poking at individual
+        strategies.
         """
-        physical = self.plan(node)
-        if self.vectorized:
-            from repro.sql.vectorized import vectorize_plan
-
-            physical = vectorize_plan(physical, self.conf)
-        return physical
+        return self.plan(node)
 
     def plan(self, node: L.LogicalPlan) -> P.PhysicalPlan:
         if self.cache is not None and self.cache.has_registrations():

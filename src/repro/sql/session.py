@@ -15,6 +15,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.common import conf_flag
 from repro.common.cost import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import AnalysisError
 from repro.common.metrics import MetricsRegistry
@@ -121,15 +122,6 @@ DEFAULT_CONF: Dict[str, object] = {
     # ... and (checked at runtime) the build yields at most this many
     # distinct keys; above it the reduction aborts and joins normally
     "sql.cbo.semijoin.maxKeys": 16384,
-    # vectorized batch execution (docs/vectorized.md): rewrite planned trees
-    # into batch-at-a-time operators over RecordBatch column vectors.  Off by
-    # default -- the row path must stay byte-identical
-    "sql.vectorized.enabled": False,
-    # rows per RecordBatch at scan/transition boundaries
-    "sql.vectorized.batchSize": 1024,
-    # collapse scan -> filter -> project chains into one whole-stage pass;
-    # turned off only by the fusion ablation leg
-    "sql.vectorized.fusion": True,
     # DataFrame.cache()/persist(): executor-memory partition cache.  The
     # enabled flag gates persist() itself -- with it off (or with no
     # persist() calls, the default state) planning and execution are
@@ -204,8 +196,6 @@ class SparkSession:
         self.conf: Dict[str, object] = dict(DEFAULT_CONF)
         # CI's flag-matrix tier-1 legs flip defaults without editing every
         # test; an explicit session conf still wins (applied after)
-        if os.environ.get("REPRO_SQL_VECTORIZED"):
-            self.conf["sql.vectorized.enabled"] = True
         if os.environ.get("REPRO_SQL_CBO"):
             self.conf["sql.cbo.enabled"] = True
         if os.environ.get("REPRO_SQL_AQE"):
@@ -229,7 +219,7 @@ class SparkSession:
         #: executor-side partition cache behind DataFrame.persist(); None
         #: when sql.cache.enabled is off (persist() then no-ops)
         self.cache_manager: Optional[CacheManager] = None
-        if bool(self.conf.get("sql.cache.enabled", True)):
+        if conf_flag(self.conf, "sql.cache.enabled", True):
             self.cache_manager = CacheManager(
                 int(self.conf.get("sql.cache.max.bytes", 64 * 1024 * 1024))
             )
@@ -257,13 +247,13 @@ class SparkSession:
             trace=trace,
             slots=slots,
             queued_s=queued_s,
-            locality_enabled=bool(self.conf.get("engine.locality.enabled", True)),
-            parallel=bool(self.conf.get("engine.parallel.enabled", True)),
+            locality_enabled=conf_flag(self.conf, "engine.locality.enabled", True),
+            parallel=conf_flag(self.conf, "engine.parallel.enabled", True),
             locality_wait_skips=int(self.conf.get("engine.locality.wait.skips", 2)),
             realtime_scale=float(self.conf.get("engine.realtime.scale", 0.0)),
             faults=self.faults,
-            speculation_enabled=bool(
-                self.conf.get("engine.speculation.enabled", False)),
+            speculation_enabled=conf_flag(
+                self.conf, "engine.speculation.enabled"),
             speculation_multiplier=float(
                 self.conf.get("engine.speculation.multiplier", 1.5)),
             speculation_quantile=float(
@@ -350,7 +340,7 @@ class SparkSession:
         """
         if self._view_manager is None:
             return None
-        if not bool(self.conf.get("sql.view.enabled", False)):
+        if not conf_flag(self.conf, "sql.view.enabled"):
             return None
         from repro.sql.views import build_rewrite_context
 
@@ -364,7 +354,7 @@ class SparkSession:
             RefreshMaterializedView,
         )
 
-        if not bool(self.conf.get("sql.view.enabled", False)):
+        if not conf_flag(self.conf, "sql.view.enabled"):
             raise AnalysisError(
                 "materialized views are disabled; set sql.view.enabled"
             )
@@ -457,7 +447,7 @@ class SparkSession:
         ``tracing.enabled`` is set, or the no-op recorder."""
         if trace is not None:
             return trace
-        if bool(self.conf.get("tracing.enabled", False)):
+        if conf_flag(self.conf, "tracing.enabled"):
             return Span("query", "query")
         return NOOP_SPAN
 
@@ -494,7 +484,7 @@ class SparkSession:
 
     def cbo_stats(self) -> Optional[StatsStore]:
         """The stats store when ``sql.cbo.enabled`` is on, else None."""
-        if bool(self.conf.get("sql.cbo.enabled", False)):
+        if conf_flag(self.conf, "sql.cbo.enabled"):
             return self.stats
         return None
 

@@ -113,43 +113,6 @@ def test_chaos_schedule_preserves_every_query_answer(seed):
     assert totals["shc.scan_resumes"] >= 1
 
 
-@pytest.mark.parametrize("seed", CHAOS_SEEDS[:1])
-def test_chaos_schedule_preserves_answers_in_vectorized_mode(seed):
-    """Batch execution under the pinned crash+straggler schedule.
-
-    Batches are built inside ``map_partitions`` over the resumable scan
-    stream (PR 2), so a region-server crash mid-scan makes the retried task
-    re-batch the partition from scratch -- rows must come back byte-identical
-    to a fault-free *row-mode* run, proving the batch path introduces no
-    resume-visible state.
-    """
-    env = load_tpcds(5, Q39_TABLES)
-    baseline_session = env.new_session()
-    expected = [rows(baseline_session.sql(q()).run()) for q in (q39a, q39b)]
-    assert any(expected)
-
-    injector = chaos_injector(seed)
-    env.cluster.install_fault_injector(injector)
-    conf = dict(SPECULATION_CONF)
-    conf["sql.vectorized.enabled"] = True
-    chaos_session = env.new_session(conf=conf,
-                                    extra_options=CHAOS_READER_OPTIONS)
-    chaos_session.install_fault_injector(injector)
-    totals = {"hbase.retries": 0.0, "shc.scan_resumes": 0.0}
-    for q, want in zip((q39a, q39b), expected):
-        result = chaos_session.sql(q()).run()
-        assert rows(result) == want  # byte-identical under chaos
-        assert result.metrics.get("engine.vectorized.batches") > 0
-        for name in totals:
-            totals[name] += result.metrics.get(name)
-    # the schedule really fired against the batch path
-    assert injector.injected(FAULT_SCAN_STREAM) == 1
-    assert sum(1 for s in env.cluster.region_servers.values()
-               if not s.alive) == 1
-    assert totals["hbase.retries"] >= 1
-    assert totals["shc.scan_resumes"] >= 1
-
-
 def test_same_seed_replays_the_same_chaos_schedule(monkeypatch):
     """Two full runs of one seed inject identical fault sequences.
 

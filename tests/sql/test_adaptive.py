@@ -14,6 +14,7 @@ import pytest
 from repro.common.tracing import Span
 from repro.engine.shuffle import KeySketch, ShuffleRuntimeStats
 from repro.sql.adaptive import plan_coalesced_reads, plan_skew_chunks
+from repro.sql.planner import Planner
 from repro.sql.session import SparkSession
 from repro.sql.types import IntegerType, StringType, StructField, StructType
 
@@ -279,6 +280,38 @@ def test_distinct_and_intersect_coalesce():
     aqe_rows, res = run_rows(aqe_session, sql)
     assert aqe_rows == base_rows
     assert res.metrics.get("engine.aqe.partitions_coalesced") >= 1.0
+
+
+# -- string conf values -------------------------------------------------------------
+
+COALESCE_SQL = "SELECT fk, count(*) AS c FROM fact GROUP BY fk"
+
+
+def test_string_false_leaves_aqe_off_with_default_ledger():
+    runs = []
+    for value in (False, "false"):
+        session = make_session(value)
+        register(session, fact_rows(n=60), dim_rows())
+        runs.append(run_rows(session, COALESCE_SQL))
+    (default_rows, default), (off_rows, off) = runs
+    assert off_rows == default_rows
+    assert off.seconds == default.seconds
+    assert dict(off.metrics.snapshot()) == dict(default.metrics.snapshot())
+    assert off.metrics.get("engine.aqe.partitions_coalesced") == 0.0
+
+
+@pytest.mark.parametrize("value", ["true", "1"])
+def test_string_true_turns_aqe_on(value):
+    session = make_session(value)
+    register(session, fact_rows(n=60), dim_rows())
+    __, res = run_rows(session, COALESCE_SQL)
+    assert res.metrics.get("engine.aqe.partitions_coalesced") >= 1.0
+
+
+def test_unparseable_aqe_flag_raises():
+    with pytest.raises(ValueError, match=r"sql\.aqe\.enabled.*maybe"):
+        Planner({"sql.aqe.enabled": "maybe"})
+    assert Planner({"sql.aqe.enabled": "false"}).adaptive is False
 
 
 # -- observability -----------------------------------------------------------------

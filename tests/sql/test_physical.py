@@ -182,3 +182,45 @@ def test_simple_case_in_query(sql):
         from t where k < 3 order by k
     """)
     assert [r.lbl for r in rows] == ["zero", "one", "many"]
+
+
+def _setop_session(conf):
+    session = SparkSession(["h1", "h2"], conf=conf)
+    session.create_dataframe(DATA, SCHEMA).create_or_replace_temp_view("t")
+    return session
+
+
+@pytest.mark.parametrize("conf", [None, {"sql.aqe.enabled": True}],
+                         ids=["default", "aqe"])
+def test_setop_rows_reconcile_ledger_stages_operators(conf):
+    """UnionExec/DistinctExec/IntersectExec output accounting agrees across
+    the metrics ledger, StageInfo and per-operator stats."""
+    for query in (
+        "SELECT g FROM t WHERE k < 10 UNION SELECT g FROM t WHERE k > 20",
+        "SELECT k FROM t WHERE k < 20 INTERSECT SELECT k FROM t WHERE k > 10",
+        "SELECT DISTINCT g FROM t WHERE v > 5.0",
+        "SELECT g FROM t WHERE k < 10 UNION ALL SELECT g FROM t WHERE k > 20",
+    ):
+        session = _setop_session(conf)
+        result = session.sql(query).run()
+        ledger = int(result.metrics.get("engine.setop.rows_out"))
+        stage_sum = sum(s.setop_rows_out for s in result.stages)
+        op_sum = sum(int(s.get("setop_rows_out", 0))
+                     for s in result.operator_stats.values())
+        assert ledger > 0, (query, conf)
+        assert ledger == stage_sum == op_sum, (query, conf)
+        session.shutdown()
+
+
+def test_setop_notes_in_explain_analyze():
+    session = _setop_session(None)
+    df = session.sql(
+        "SELECT g FROM t WHERE k < 10 UNION SELECT g FROM t WHERE k > 20")
+    report = df.explain(analyze=True)
+    result = df.last_analyzed
+    session.shutdown()
+    assert "setop: rows_out=" in report
+    ledger = int(result.metrics.get("engine.setop.rows_out"))
+    total = sum(int(s.get("setop_rows_out", 0))
+                for s in result.operator_stats.values())
+    assert total == ledger
