@@ -97,11 +97,13 @@ class HBaseRelation(BaseRelation):
         return self.field_coders[column_name]
 
     # -- feature toggles -------------------------------------------------------
-    def _flag(self, key: str, default: bool = True) -> bool:
+    def _option(self, key: str):
         """A per-read option wins over the session conf of the same key."""
-        source = (self.options if self.options.get(key) is not None
-                  else self.session.conf)
-        return conf_flag(source, key, default)
+        value = self.options.get(key)
+        return value if value is not None else self.session.conf.get(key)
+
+    def _flag(self, key: str, default: bool = True) -> bool:
+        return conf_flag({key: self._option(key)}, key, default)
 
     @property
     def pushdown_enabled(self) -> bool:
@@ -151,9 +153,7 @@ class HBaseRelation(BaseRelation):
         Zero (or negative) forces every read back to the primary -- the
         strict-consistency end of the timeline knob.
         """
-        value = self.options.get(HBaseSparkConf.REPLICA_STALENESS)
-        if value is None:
-            value = self.session.conf.get(HBaseSparkConf.REPLICA_STALENESS)
+        value = self._option(HBaseSparkConf.REPLICA_STALENESS)
         return float(value) if value is not None else 5.0
 
     # -- BaseRelation contract ----------------------------------------------------
@@ -292,9 +292,7 @@ class HBaseRelation(BaseRelation):
 
     def scan_caching(self) -> Optional[int]:
         """Rows per scan RPC (``hbase.spark.query.cachedrows``); None = default."""
-        value = self.options.get(HBaseSparkConf.CACHED_ROWS)
-        if value is None:
-            value = self.session.conf.get(HBaseSparkConf.CACHED_ROWS)
+        value = self._option(HBaseSparkConf.CACHED_ROWS)
         return int(value) if value is not None else None
 
     # -- connections & security ------------------------------------------------------
@@ -315,10 +313,8 @@ class HBaseRelation(BaseRelation):
                 f"{HBaseSparkConf.CREDENTIALS_ENABLED}=true and configure "
                 f"principal/keytab"
             )
-        principal = self.options.get(HBaseSparkConf.PRINCIPAL) \
-            or self.session.conf.get(HBaseSparkConf.PRINCIPAL)
-        keytab_path = self.options.get(HBaseSparkConf.KEYTAB) \
-            or self.session.conf.get(HBaseSparkConf.KEYTAB)
+        principal = self._option(HBaseSparkConf.PRINCIPAL)
+        keytab_path = self._option(HBaseSparkConf.KEYTAB)
         if not principal or not keytab_path:
             raise HBaseError("secure access needs spark.yarn.principal and .keytab")
         keytab = KeytabStore.load(str(keytab_path))
@@ -346,9 +342,7 @@ class HBaseRelation(BaseRelation):
         for key in (Configuration.RETRIES_NUMBER, Configuration.CLIENT_PAUSE,
                     Configuration.CLIENT_PAUSE_MAX,
                     Configuration.OPERATION_TIMEOUT):
-            value = self.options.get(key)
-            if value is None:
-                value = self.session.conf.get(key)
+            value = self._option(key)
             if value is not None:
                 conf[key] = value
         return conf
@@ -358,8 +352,7 @@ class HBaseRelation(BaseRelation):
         conf = self.connection_conf(ctx.host)
         ugi = self._ugi(ctx.ledger)
         if self.connection_cache_enabled:
-            delay = self.options.get(HBaseSparkConf.CONNECTION_CLOSE_DELAY) \
-                or self.session.conf.get(HBaseSparkConf.CONNECTION_CLOSE_DELAY)
+            delay = self._option(HBaseSparkConf.CONNECTION_CLOSE_DELAY)
             if delay is not None:
                 self.connection_cache.close_delay_s = float(delay)
             return self.connection_cache.acquire(

@@ -33,7 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import conf_flag
+from repro.common.conf import conf_value
 from repro.common.errors import OverloadedError, ReproError
 from repro.common.faults import FAULT_ADMISSION
 from repro.common.metrics import MetricsRegistry
@@ -72,9 +72,8 @@ class TenantSpec:
 
 @dataclass
 class ServingConfig:
-    """Front-door tuning knobs, read from ``serving.*`` session conf keys."""
+    """Front-door tuning knobs (docs/serving.md)."""
 
-    enabled: bool = True
     max_queue_depth: int = 16
     slots_per_query: int = 2
     deadline_s: Optional[float] = None
@@ -82,35 +81,6 @@ class ServingConfig:
     #: a completed query counts as a degradation signal when it needed at
     #: least this many hbase client retries (or any mid-scan resume)
     breaker_retry_signal: int = 2
-
-    @classmethod
-    def from_conf(cls, conf: Dict[str, object]) -> "ServingConfig":
-        """Build a config from a session conf dict (``serving.*`` keys)."""
-        def _opt_float(key: str) -> Optional[float]:
-            value = conf.get(key)
-            return None if value is None else float(value)
-
-        breaker = BreakerConfig(
-            window=int(conf.get("serving.breaker.window", 8)),
-            min_samples=int(conf.get("serving.breaker.min.samples", 4)),
-            failure_threshold=float(
-                conf.get("serving.breaker.failure.threshold", 0.5)),
-            cooldown_s=float(conf.get("serving.breaker.cooldown.s", 30.0)),
-            max_cooldown_s=float(
-                conf.get("serving.breaker.max.cooldown.s", 240.0)),
-            probe_count=int(conf.get("serving.breaker.probe.count", 2)),
-            latency_threshold_s=_opt_float(
-                "serving.breaker.latency.threshold.s"),
-        )
-        return cls(
-            enabled=conf_flag(conf, "serving.enabled", True),
-            max_queue_depth=int(conf.get("serving.queue.max.depth", 16)),
-            slots_per_query=int(conf.get("serving.slots.per.query", 2)),
-            deadline_s=_opt_float("serving.deadline.s"),
-            breaker=breaker,
-            breaker_retry_signal=int(
-                conf.get("serving.breaker.retry.signal", 2)),
-        )
 
 
 @dataclass
@@ -169,12 +139,11 @@ class QueryServer:
     """
 
     def __init__(self, session, config: Optional[ServingConfig] = None,
-                 enabled: Optional[bool] = None, faults=None,
+                 enabled: bool = True, faults=None,
                  hbase_cluster=None) -> None:
         self.session = session
-        self.config = config if config is not None \
-            else ServingConfig.from_conf(session.conf)
-        self.enabled = self.config.enabled if enabled is None else enabled
+        self.config = config if config is not None else ServingConfig()
+        self.enabled = enabled
         #: optional FaultInjector checked at the FAULT_ADMISSION point
         self.faults = faults
         #: optional HBaseCluster whose region-server deaths feed the breaker
@@ -233,7 +202,7 @@ class QueryServer:
         ``at`` is the request's *simulated* arrival time; omitted, it
         reuses the latest arrival seen (same instant, later sequence), so a
         plain burst of submits stays deterministic.  ``deadline_s``
-        overrides ``serving.deadline.s`` for this request.
+        overrides ``ServingConfig.deadline_s`` for this request.
         """
         with self._lock:
             at_s = self._last_arrival_s if at is None else float(at)
@@ -299,7 +268,7 @@ class QueryServer:
         per_query = self.config.slots_per_query
         if per_query < 1 or per_query > total:
             raise ReproError(
-                f"serving.slots.per.query={per_query} must be in "
+                f"ServingConfig.slots_per_query={per_query} must be in "
                 f"[1, {total}] for this cluster")
         reserved_total = sum(
             t.reserved_slots for t in self._tenants.values())
@@ -535,7 +504,7 @@ class QueryServer:
             self.metrics.incr("serving.shed.deadline")
         else:
             self.metrics.incr("serving.shed.injected")
-        if conf_flag(self.session.conf, "tracing.enabled"):
+        if conf_value(self.session.conf, "tracing.enabled"):
             span = Span("query", "query", tenant=ticket.tenant)
             span.event("shed", tenant=ticket.tenant, reason=reason,
                        retry_after_s=retry_after_s,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common.conf import conf_value
 from repro.engine.rdd import RDD, ShuffleReadRDD
 from repro.engine.shuffle import ShuffleRuntimeStats, estimate_size
 from repro.sql import expressions as E
@@ -129,7 +130,7 @@ def adaptive_exchange(ctx: ExecContext, rdd: RDD, num_partitions: int,
     """
     shuffled = rdd.partition_by(num_partitions, key_fn)
     stats = ctx.materialize_stage(shuffled)
-    target = int(ctx.conf.get("sql.aqe.targetPartitionBytes", 64 * 1024))
+    target = conf_value(ctx.conf, "sql.aqe.targetPartitionBytes")
     specs, merged = plan_coalesced_reads([stats], target)
     if merged:
         ctx.metrics.incr("engine.aqe.partitions_coalesced", merged)
@@ -186,10 +187,10 @@ class AdaptiveJoinExec(PhysicalPlan):
         how = self.how
         per_row = ctx.cost.row_cpu_s
         num_parts = ctx.shuffle_partitions()
-        threshold = int(ctx.conf.get("sql.autoBroadcastJoinThreshold", 128 * 1024))
-        target = int(ctx.conf.get("sql.aqe.targetPartitionBytes", 64 * 1024))
-        skew_factor = float(ctx.conf.get("sql.aqe.skewedPartitionFactor", 4.0))
-        skew_min = int(ctx.conf.get("sql.aqe.skewedPartitionThresholdBytes", 64 * 1024))
+        threshold = conf_value(ctx.conf, "sql.autoBroadcastJoinThreshold")
+        target = conf_value(ctx.conf, "sql.aqe.targetPartitionBytes")
+        skew_factor = conf_value(ctx.conf, "sql.aqe.skewedPartitionFactor")
+        skew_min = conf_value(ctx.conf, "sql.aqe.skewedPartitionThresholdBytes")
         ctx.record_operator(self, initial_strategy="ShuffledHashJoin")
 
         def on_output(rows_out: int, bytes_out: int) -> None:

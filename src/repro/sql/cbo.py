@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.common.conf import conf_value
 from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql.stats import (
@@ -79,7 +80,6 @@ class CardinalityEstimator:
         self.store = store
         self.conf = conf
         self.metrics = metrics
-        self.staleness_ratio = float(conf.get("sql.cbo.staleness.ratio", 2.0))
 
     def _incr(self, name: str, amount: float = 1) -> None:
         if self.metrics is not None:
@@ -154,15 +154,14 @@ class CardinalityEstimator:
         return Estimate(rows, 64.0, {}, confident=False)
 
     def _stale(self, node: L.LogicalRelation, ts) -> bool:
-        """Stats whose recorded source size drifted too far are treated as
-        absent (the query then keeps its syntactic plan)."""
+        """Stats whose recorded source size grew or shrank more than twofold
+        are treated as absent (the query then keeps its syntactic plan)."""
         if ts.source_bytes is None or ts.source_bytes <= 0:
             return False
         current = node.relation.size_in_bytes()
         if current is None:
             return False
-        ratio = max(1.0, self.staleness_ratio)
-        if current > ts.source_bytes * ratio or current * ratio < ts.source_bytes:
+        if current > ts.source_bytes * 2.0 or current * 2.0 < ts.source_bytes:
             self._incr("sql.cbo.stats_stale")
             return True
         return False
@@ -359,7 +358,7 @@ def reorder_joins(plan: L.LogicalPlan, store: StatsStore,
     estimate are left in syntactic order (``sql.cbo.reorders_rejected``).
     """
     estimator = CardinalityEstimator(store, conf, metrics)
-    dp_threshold = int(conf.get("sql.cbo.joinReorder.dpThreshold", 6))
+    dp_threshold = conf_value(conf, "sql.cbo.joinReorder.dpThreshold")
 
     def transform(node: L.LogicalPlan) -> L.LogicalPlan:
         if isinstance(node, L.Join) and node.how == "inner":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.common import conf_flag
+from repro.common.conf import conf_value
 from repro.sql import expressions as E
 from repro.sql import logical as L
 
@@ -48,7 +48,7 @@ def optimize(plan: L.LogicalPlan, conf: Optional[Dict[str, object]] = None,
         plan = rewrite_with_views(plan, views)
         plan = push_down_predicates(plan)
     if stats is not None and conf is not None \
-            and conf_flag(conf, "sql.cbo.enabled"):
+            and conf_value(conf, "sql.cbo.enabled"):
         from repro.sql.cbo import reorder_joins
 
         plan = reorder_joins(plan, stats, conf, metrics)

@@ -19,7 +19,7 @@ import itertools
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common import conf_flag
+from repro.common.conf import conf_value
 from repro.common.errors import AnalysisError
 from repro.common.metrics import MetricsRegistry
 from repro.common.tracing import NOOP_SPAN
@@ -59,7 +59,7 @@ class ExecContext:
         self.operator_stats: Dict[int, Dict[str, object]] = {}
         #: adaptive query execution (docs/adaptive.md); off by default so
         #: the non-adaptive path stays byte-identical
-        self.adaptive = conf_flag(conf, "sql.aqe.enabled")
+        self.adaptive = conf_value(conf, "sql.aqe.enabled")
         #: re-optimisation decisions taken at stage barriers, in decision
         #: order; EXPLAIN ANALYZE renders these as the adaptive section
         self.reopt_events: List[Dict[str, object]] = []
@@ -126,7 +126,7 @@ class ExecContext:
             self.metrics.incr(counter, amount)
 
     def shuffle_partitions(self) -> int:
-        return int(self.conf.get("sql.shuffle.partitions", 8))
+        return conf_value(self.conf, "sql.shuffle.partitions")
 
 
 #: process-wide operator id sequence; ids only need to be unique within a

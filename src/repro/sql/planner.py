@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common import conf_flag
+from repro.common.conf import conf_value
 from repro.common.errors import AnalysisError
 from repro.sql import expressions as E
 from repro.sql import logical as L
@@ -85,31 +86,26 @@ class Planner:
                  metrics=None) -> None:
         self.conf = conf
         self.cache = cache
-        self.broadcast_threshold = int(
-            conf.get("sql.autoBroadcastJoinThreshold", 128 * 1024)
-        )
+        self.broadcast_threshold = conf_value(conf, "sql.autoBroadcastJoinThreshold")
         #: cost-based planning (docs/optimizer.md): with sql.cbo.enabled and
         #: a stats store, join sizing uses ANALYZE-based estimates and the
         #: semi-join reduction strategy becomes available
         self.metrics = metrics
         self.estimator = None
         self.semijoin_enabled = False
-        if stats is not None and conf_flag(conf, "sql.cbo.enabled"):
+        if stats is not None and conf_value(conf, "sql.cbo.enabled"):
             from repro.sql.cbo import CardinalityEstimator
 
             self.estimator = CardinalityEstimator(stats, conf, metrics)
-            self.semijoin_enabled = conf_flag(conf, "sql.cbo.semijoin", True)
-            self.semijoin_max_build = int(
-                conf.get("sql.cbo.semijoin.maxBuildRows", 10000))
-            self.semijoin_min_reduction = float(
-                conf.get("sql.cbo.semijoin.minReduction", 2.0))
-            self.semijoin_max_keys = int(
-                conf.get("sql.cbo.semijoin.maxKeys", 16384))
+            self.semijoin_enabled = conf_value(conf, "sql.cbo.semijoin")
+            self.semijoin_max_build = conf_value(
+                conf, "sql.cbo.semijoin.maxBuildRows")
+            self.semijoin_max_keys = conf_value(conf, "sql.cbo.semijoin.maxKeys")
         #: adaptive query execution (docs/adaptive.md): shuffled joins plan
         #: as AdaptiveJoinExec stage barriers instead of committing to a
         #: strategy from size estimates
-        self.adaptive = conf_flag(conf, "sql.aqe.enabled")
-        self.local_scan_partitions = int(conf.get("sql.local.scan.partitions", 2))
+        self.adaptive = conf_value(conf, "sql.aqe.enabled")
+        self.local_scan_partitions = conf_value(conf, "sql.local.scan.partitions")
         #: replica-aware scan routing (docs/replication.md): the session-level
         #: hbase.read.replica flag, stamped onto scans so EXPLAIN ANALYZE can
         #: surface routing intent (the relation re-reads the flag at scan
@@ -389,7 +385,7 @@ class Planner:
                                 est_join) -> Optional[P.PhysicalPlan]:
         """Semi-join reduction (docs/optimizer.md): pre-filter the probe side
         by the build side's distinct keys before shuffling, when statistics
-        predict the probe shrinks by ``sql.cbo.semijoin.minReduction``."""
+        predict the probe shrinks at least twofold."""
         if not self.semijoin_enabled or node.how not in ("inner", "semi"):
             return None
         if est_left is None or not (est_left.confident and est_right.confident):
@@ -399,7 +395,7 @@ class Planner:
         from repro.sql.cbo import semijoin_keep_fraction
 
         keep = semijoin_keep_fraction(est_left, est_right, left_keys, right_keys)
-        if keep is None or keep > 1.0 / max(self.semijoin_min_reduction, 1.0):
+        if keep is None or keep > 0.5:
             self._incr("sql.cbo.semijoins_rejected")
             return None
         self._incr("sql.cbo.semijoins_applied")

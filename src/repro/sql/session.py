@@ -9,13 +9,12 @@ execute -- and returns rows together with simulated seconds and metrics.
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.common import conf_flag
+from repro.common.conf import conf_value, resolve_conf
 from repro.common.cost import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import AnalysisError
 from repro.common.metrics import MetricsRegistry
@@ -80,104 +79,6 @@ class WriteResult:
     metrics: MetricsRegistry
 
 
-DEFAULT_CONF: Dict[str, object] = {
-    "sql.shuffle.partitions": 8,
-    # per-query span-tree tracing (docs/observability.md); off by default so
-    # the hot path runs against the no-op recorder
-    "tracing.enabled": False,
-    "sql.autoBroadcastJoinThreshold": 128 * 1024,
-    # adaptive query execution (docs/adaptive.md): re-optimise plans at
-    # shuffle-stage barriers from measured partition sizes.  Off by default
-    # -- the non-adaptive path must stay byte-identical
-    "sql.aqe.enabled": False,
-    # rule 2/3 sizing: coalesce small reduce partitions toward this many
-    # bytes per task, and cap each skew-split chunk at it
-    "sql.aqe.targetPartitionBytes": 64 * 1024,
-    # rule 3 trigger: a partition is skewed when larger than `factor` x the
-    # median partition AND over the absolute threshold
-    "sql.aqe.skewedPartitionFactor": 4.0,
-    "sql.aqe.skewedPartitionThresholdBytes": 64 * 1024,
-    # partitions for driver-local (VALUES / createDataFrame) scans
-    "sql.local.scan.partitions": 2,
-    # cost-based optimization (docs/optimizer.md): use ANALYZE statistics to
-    # estimate cardinalities, re-order multi-way inner joins, and inform the
-    # planner's broadcast decisions.  Off by default -- without it planning
-    # is purely syntactic and byte-identical to the seed
-    "sql.cbo.enabled": False,
-    # semi-join reduction (needs sql.cbo.enabled): pre-filter a large probe
-    # scan by the distinct join keys of a small build side before shuffling
-    "sql.cbo.semijoin": True,
-    # exact left-deep DP join ordering up to this many inputs; greedy above
-    "sql.cbo.joinReorder.dpThreshold": 6,
-    # equi-height histogram buckets collected per column by ANALYZE
-    "sql.cbo.histogram.buckets": 8,
-    # stats whose recorded size drifted by more than this factor from the
-    # relation's current size are treated as absent (fall back to syntactic)
-    "sql.cbo.staleness.ratio": 2.0,
-    # semi-join reduction applies only when the build side is estimated at
-    # or under this many rows ...
-    "sql.cbo.semijoin.maxBuildRows": 10000,
-    # ... and the probe is expected to shrink by at least this factor ...
-    "sql.cbo.semijoin.minReduction": 2.0,
-    # ... and (checked at runtime) the build yields at most this many
-    # distinct keys; above it the reduction aborts and joins normally
-    "sql.cbo.semijoin.maxKeys": 16384,
-    # DataFrame.cache()/persist(): executor-memory partition cache.  The
-    # enabled flag gates persist() itself -- with it off (or with no
-    # persist() calls, the default state) planning and execution are
-    # byte-identical to an uncached session
-    "sql.cache.enabled": True,
-    "sql.cache.max.bytes": 64 * 1024 * 1024,
-    "engine.locality.enabled": True,
-    # thread-pool stage runner: one worker per executor slot; turn off for
-    # the serial driver-thread baseline the parallelism ablation measures
-    "engine.parallel.enabled": True,
-    # delay scheduling: events a task waits for a preferred slot (locality)
-    "engine.locality.wait.skips": 2,
-    # real seconds slept per simulated task-second, to emulate the I/O wait
-    # a real scan spends off-CPU (0 = off; benchmarks opt in)
-    "engine.realtime.scale": 0.0,
-    # workers in the session's concurrent-query pool (Table I "Thread pool")
-    "engine.query.pool.size": 8,
-    # speculative execution: duplicate a tail task once `quantile` of the
-    # stage finished and it has run `multiplier` x the median task duration
-    # (off by default; chaos/straggler runs opt in)
-    "engine.speculation.enabled": False,
-    "engine.speculation.multiplier": 1.5,
-    "engine.speculation.quantile": 0.5,
-    # blacklist a host after this many failed task attempts (0 disables)
-    "engine.blacklist.max.failures": 2,
-    # capped exponential backoff between task retries (simulated seconds)
-    "engine.retry.backoff.s": 0.05,
-    "engine.retry.backoff.max.s": 2.0,
-    # multi-tenant serving front door (docs/serving.md).  None of these keys
-    # affect a session used directly -- they are only read when a
-    # repro.serving.QueryServer is constructed over the session, which is
-    # itself the opt-in (the direct path stays byte-identical)
-    "serving.enabled": True,
-    "serving.queue.max.depth": 16,          # bounded admission queue
-    "serving.slots.per.query": 2,           # executor slots leased per query
-    "serving.deadline.s": None,             # shed when queue wait eats this
-    "serving.breaker.window": 8,            # sliding outcome window
-    "serving.breaker.min.samples": 4,
-    "serving.breaker.failure.threshold": 0.5,
-    "serving.breaker.cooldown.s": 30.0,     # open -> half-open (simulated)
-    "serving.breaker.max.cooldown.s": 240.0,
-    "serving.breaker.probe.count": 2,       # half-open probe arrivals
-    "serving.breaker.retry.signal": 2,      # hbase.retries that flag degraded
-    "serving.breaker.latency.threshold.s": None,
-    # materialized views (docs/views.md): CREATE MATERIALIZED VIEW persists
-    # aggregations/joins as HBase tables maintained incrementally from a
-    # WAL-tailing CDC feed, and the optimizer rewrites matching queries onto
-    # fresh-enough views.  Off by default -- with the flag off (or on but no
-    # view created) planning and every ledger are byte-identical to the seed
-    "sql.view.enabled": False,
-    # maximum CDC lag (simulated seconds of unshipped WAL tail) a view may
-    # carry and still answer queries; 0.0 = only fully caught-up views
-    "sql.view.staleness": 0.0,
-}
-
-
 class SparkSession:
     """One application context."""
 
@@ -193,17 +94,7 @@ class SparkSession:
     ) -> None:
         self.cost = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.clock = clock if clock is not None else SimClock()
-        self.conf: Dict[str, object] = dict(DEFAULT_CONF)
-        # CI's flag-matrix tier-1 legs flip defaults without editing every
-        # test; an explicit session conf still wins (applied after)
-        if os.environ.get("REPRO_SQL_CBO"):
-            self.conf["sql.cbo.enabled"] = True
-        if os.environ.get("REPRO_SQL_AQE"):
-            self.conf["sql.aqe.enabled"] = True
-        if os.environ.get("REPRO_SQL_VIEWS"):
-            self.conf["sql.view.enabled"] = True
-        if conf:
-            self.conf.update(conf)
+        self.conf = resolve_conf(conf)
         self.cluster = ComputeCluster(
             hosts, executors_requested, cores_per_executor, resource_manager
         )
@@ -216,13 +107,12 @@ class SparkSession:
         self._pool_lock = threading.Lock()
         #: optional FaultInjector for engine-side fault points; None = off
         self.faults = None
-        #: executor-side partition cache behind DataFrame.persist(); None
-        #: when sql.cache.enabled is off (persist() then no-ops)
+        #: executor-side partition cache behind DataFrame.persist(), a
+        #: 64 MiB LRU budget; None when sql.cache.enabled is off (persist()
+        #: then no-ops)
         self.cache_manager: Optional[CacheManager] = None
-        if conf_flag(self.conf, "sql.cache.enabled", True):
-            self.cache_manager = CacheManager(
-                int(self.conf.get("sql.cache.max.bytes", 64 * 1024 * 1024))
-            )
+        if conf_value(self.conf, "sql.cache.enabled"):
+            self.cache_manager = CacheManager(64 * 1024 * 1024)
         #: lazy ViewManager (docs/views.md); stays None until the first
         #: view statement, so view-free sessions never touch the module
         self._view_manager = None
@@ -247,22 +137,15 @@ class SparkSession:
             trace=trace,
             slots=slots,
             queued_s=queued_s,
-            locality_enabled=conf_flag(self.conf, "engine.locality.enabled", True),
-            parallel=conf_flag(self.conf, "engine.parallel.enabled", True),
-            locality_wait_skips=int(self.conf.get("engine.locality.wait.skips", 2)),
-            realtime_scale=float(self.conf.get("engine.realtime.scale", 0.0)),
+            parallel=conf_value(self.conf, "engine.parallel.enabled"),
+            realtime_scale=conf_value(self.conf, "engine.realtime.scale"),
             faults=self.faults,
-            speculation_enabled=conf_flag(
+            speculation_enabled=conf_value(
                 self.conf, "engine.speculation.enabled"),
-            speculation_multiplier=float(
-                self.conf.get("engine.speculation.multiplier", 1.5)),
-            speculation_quantile=float(
-                self.conf.get("engine.speculation.quantile", 0.5)),
-            blacklist_max_failures=int(
-                self.conf.get("engine.blacklist.max.failures", 2)),
-            retry_backoff_s=float(self.conf.get("engine.retry.backoff.s", 0.05)),
-            retry_backoff_max_s=float(
-                self.conf.get("engine.retry.backoff.max.s", 2.0)),
+            speculation_multiplier=conf_value(
+                self.conf, "engine.speculation.multiplier"),
+            speculation_quantile=conf_value(
+                self.conf, "engine.speculation.quantile"),
         )
 
     # -- data ingestion --------------------------------------------------------------
@@ -340,7 +223,7 @@ class SparkSession:
         """
         if self._view_manager is None:
             return None
-        if not conf_flag(self.conf, "sql.view.enabled"):
+        if not conf_value(self.conf, "sql.view.enabled"):
             return None
         from repro.sql.views import build_rewrite_context
 
@@ -354,7 +237,7 @@ class SparkSession:
             RefreshMaterializedView,
         )
 
-        if not conf_flag(self.conf, "sql.view.enabled"):
+        if not conf_value(self.conf, "sql.view.enabled"):
             raise AnalysisError(
                 "materialized views are disabled; set sql.view.enabled"
             )
@@ -388,7 +271,7 @@ class SparkSession:
 
         analyzed = self.analyze(UnresolvedRelation(name))
         result = self.execute_plan(analyzed)
-        buckets = int(self.conf.get("sql.cbo.histogram.buckets", 8))
+        buckets = conf_value(self.conf, "sql.cbo.histogram.buckets")
         stats = compute_table_stats(
             [tuple(r.values) for r in result.rows], result.schema, buckets
         )
@@ -421,8 +304,8 @@ class SparkSession:
         """Run a SQL query on the session's thread pool (concurrent execution)."""
         with self._pool_lock:
             if self._pool is None:
-                workers = int(self.conf.get("engine.query.pool.size", 8))
-                self._pool = ThreadPoolExecutor(max_workers=max(1, workers),
+                # eight workers: Table I's "Thread pool" row
+                self._pool = ThreadPoolExecutor(max_workers=8,
                                                 thread_name_prefix="shc-query")
             pool = self._pool
         return pool.submit(lambda: self.sql(text).run())
@@ -447,7 +330,7 @@ class SparkSession:
         ``tracing.enabled`` is set, or the no-op recorder."""
         if trace is not None:
             return trace
-        if conf_flag(self.conf, "tracing.enabled"):
+        if conf_value(self.conf, "tracing.enabled"):
             return Span("query", "query")
         return NOOP_SPAN
 
@@ -484,7 +367,7 @@ class SparkSession:
 
     def cbo_stats(self) -> Optional[StatsStore]:
         """The stats store when ``sql.cbo.enabled`` is on, else None."""
-        if conf_flag(self.conf, "sql.cbo.enabled"):
+        if conf_value(self.conf, "sql.cbo.enabled"):
             return self.stats
         return None
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.common.conf import conf_value
 from repro.common.errors import AnalysisError
 from repro.common.metrics import CostLedger, MetricsRegistry
 from repro.sql import expressions as E
@@ -1087,7 +1088,7 @@ def build_rewrite_context(session) -> Optional[ViewRewriteContext]:
     definitions = manager.definitions()
     if not definitions:
         return None
-    staleness = float(session.conf.get("sql.view.staleness", 0.0) or 0.0)
+    staleness = conf_value(session.conf, "sql.view.staleness")
     candidates: List[ViewCandidate] = []
     for vdef in definitions:
         cluster = get_cluster(vdef.quorum)

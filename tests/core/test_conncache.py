@@ -78,8 +78,10 @@ def test_new_connection_after_eviction(hbase_cluster, conf, clock):
     assert cache.misses == 2
 
 
-def test_close_delay_option_plumbed(linked):
-    """The paper's connectionCloseDelay knob reaches the cache."""
+@pytest.mark.parametrize("delay, expected", [("120", 120.0), (0, 0.0)])
+def test_close_delay_option_plumbed(linked, delay, expected):
+    """The paper's connectionCloseDelay knob reaches the cache -- a numeric
+    0 included, which must not fall through to the session conf."""
     import json
 
     from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
@@ -98,10 +100,10 @@ def test_close_delay_option_plumbed(linked):
         HBaseTableCatalog.tableCatalog: catalog,
         HBaseTableCatalog.newTable: "1",
         "hbase.zookeeper.quorum": cluster.quorum,
-        HBaseSparkConf.CONNECTION_CLOSE_DELAY: "120",
+        HBaseSparkConf.CONNECTION_CLOSE_DELAY: delay,
     }
     schema = StructType([StructField("k", IntegerType),
                          StructField("v", IntegerType)])
     session.create_dataframe([(1, 2)], schema).write \
         .format(DEFAULT_FORMAT).options(options).save()
-    assert DEFAULT_CONNECTION_CACHE.close_delay_s == 120.0
+    assert DEFAULT_CONNECTION_CACHE.close_delay_s == expected

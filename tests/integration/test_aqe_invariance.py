@@ -10,10 +10,9 @@ into either ledger.  A third run with AQE *on* checks answers (not costs)
 are unchanged, full-stack through the HBase substrate.
 """
 
-import os
-
 import pytest
 
+from repro.common.conf import resolve_conf
 from repro.workloads import load_tpcds
 
 SCAN_QUERY = ("SELECT ss_item_sk, ss_quantity FROM store_sales "
@@ -47,7 +46,7 @@ def test_default_conf_is_byte_identical_to_aqe_disabled():
         assert not key.startswith("engine.aqe."), key
 
 
-@pytest.mark.skipif(bool(os.environ.get("REPRO_SQL_AQE")),
+@pytest.mark.skipif(resolve_conf(None)["sql.aqe.enabled"],
                     reason="AQE mode forced on by the environment")
 def test_join_ledger_is_byte_identical_with_aqe_off():
     default = run_fresh(JOIN_QUERY, None)

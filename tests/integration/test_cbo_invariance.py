@@ -11,10 +11,9 @@ ledger.  Runs with CBO *on* (after ANALYZE) check answers are unchanged,
 full-stack through the HBase substrate.
 """
 
-import os
-
 import pytest
 
+from repro.common.conf import resolve_conf
 from repro.workloads import load_tpcds
 
 SCAN_QUERY = ("SELECT ss_item_sk, ss_quantity FROM store_sales "
@@ -50,7 +49,7 @@ def test_default_conf_is_byte_identical_to_cbo_disabled():
         assert not key.startswith("sql.cbo."), key
 
 
-@pytest.mark.skipif(bool(os.environ.get("REPRO_SQL_CBO")),
+@pytest.mark.skipif(resolve_conf(None)["sql.cbo.enabled"],
                     reason="CBO mode forced on by the environment")
 def test_join_ledger_is_byte_identical_with_cbo_off():
     default = run_fresh(JOIN_QUERY, None)

@@ -1,10 +1,10 @@
 """Scenario tests lifted directly from the paper's running examples."""
 
 import json
-import os
 
 import pytest
 
+from repro.common.conf import resolve_conf
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
 from repro.core.relation import DEFAULT_FORMAT
 from repro.sql.types import DoubleType, IntegerType, StringType, StructField, StructType
@@ -63,7 +63,7 @@ def test_in_list_on_rowkey_becomes_gets(users):
         full.metrics.get("hbase.bytes_scanned")
 
 
-@pytest.mark.skipif(bool(os.environ.get("REPRO_SQL_AQE")),
+@pytest.mark.skipif(resolve_conf(None)["sql.aqe.enabled"],
                     reason="AQE mode forced on by the environment: the "
                            "runtime converts the shuffle join it pins")
 def test_broadcast_threshold_zero_forces_shuffle_join(users):

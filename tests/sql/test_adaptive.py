@@ -7,10 +7,9 @@ make.  Every adaptive run is checked row-identical to its non-adaptive
 twin -- re-optimisation may only move work around, never change answers.
 """
 
-import os
-
 import pytest
 
+from repro.common.conf import resolve_conf
 from repro.common.tracing import Span
 from repro.engine.shuffle import KeySketch, ShuffleRuntimeStats
 from repro.sql.adaptive import plan_coalesced_reads, plan_skew_chunks
@@ -22,7 +21,7 @@ from repro.sql.types import IntegerType, StringType, StructField, StructType
 # dimension; with CBO forced on, LocalRelation statistics are exact and the
 # initial plan already broadcasts -- there is no adaptive decision to test
 needs_misestimates = pytest.mark.skipif(
-    bool(os.environ.get("REPRO_SQL_CBO")),
+    resolve_conf(None)["sql.cbo.enabled"],
     reason="CBO mode forced on by the environment")
 
 FACT_SCHEMA = StructType([

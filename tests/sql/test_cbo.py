@@ -1,10 +1,9 @@
 """The cost-based optimizer: estimation formulas, join reordering, semi-join
 reduction gates and the EXPLAIN surface (docs/optimizer.md)."""
 
-import os
-
 import pytest
 
+from repro.common.conf import DEFAULT_CONF, resolve_conf
 from repro.common.metrics import MetricsRegistry
 from repro.sql import expressions as E
 from repro.sql import logical as L
@@ -16,7 +15,6 @@ from repro.sql.cbo import (
     semijoin_keep_fraction,
 )
 from repro.sql.parser import parse
-from repro.sql.session import DEFAULT_CONF
 from repro.sql.stats import StatsStore
 from repro.sql.types import (
     DoubleType,
@@ -252,7 +250,7 @@ def test_semijoin_answers_match_cbo_off(session):
 
 
 def test_semijoin_rejected_when_unprofitable(session):
-    # every probe key survives (dim covers all 5): keep=1 > 1/minReduction
+    # every probe key survives (dim covers all 5): keep=1 > 1/2
     _cbo_conf(session)
     query = _load_join(session, dim_keys=[0, 1, 2, 3, 4])
     result = session.sql(query).run()
@@ -311,7 +309,7 @@ def test_explain_analyze_has_cbo_section(session):
     assert "est=" in report  # per-operator est-vs-actual annotation
 
 
-@pytest.mark.skipif(bool(os.environ.get("REPRO_SQL_CBO")),
+@pytest.mark.skipif(resolve_conf(None)["sql.cbo.enabled"],
                     reason="CBO mode forced on by the environment")
 def test_explain_has_no_cbo_section_when_off(session):
     query = _load_join(session, dim_keys=[0, 1])

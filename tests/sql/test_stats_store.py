@@ -5,10 +5,10 @@ import json
 
 import pytest
 
+from repro.common.conf import DEFAULT_CONF
 from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql.cbo import CardinalityEstimator, reorder_joins
-from repro.sql.session import DEFAULT_CONF
 from repro.sql.stats import (
     STATS_ATTRIBUTE,
     ColumnStats,

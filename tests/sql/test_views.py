@@ -5,10 +5,9 @@ SHOW, CDC-driven incremental maintenance (delta, recount, invalidation),
 and the optimizer's freshness- and cost-gated automatic rewriting.
 """
 
-import os
-
 import pytest
 
+from repro.common.conf import resolve_conf
 from repro.common.errors import AnalysisError
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.coders import get_coder
@@ -88,7 +87,7 @@ def test_parse_other_view_statements():
 # -- gating ----------------------------------------------------------------
 
 
-@pytest.mark.skipif(bool(os.environ.get("REPRO_SQL_VIEWS")),
+@pytest.mark.skipif(resolve_conf(None)["sql.view.enabled"],
                     reason="views mode forced on by the environment")
 def test_statements_require_the_flag(env):
     session = env.new_session()  # sql.view.enabled defaults to False

@@ -1,12 +1,22 @@
-"""Documentation guardrails: every public module/class/function has a docstring."""
+"""Documentation guardrails: every public module/class/function has a
+docstring, and no docs table names a session conf key that does not exist."""
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro.common import faults
+from repro.common.conf import DEFAULT_CONF
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+#: a name under one of the session-conf prefixes (backticks stripped)
+_SESSION_NAME_RE = re.compile(r"^(sql|engine|tracing|serving)\.[A-Za-z0-9_.]+$")
 
 
 def _iter_modules():
@@ -46,3 +56,22 @@ def test_every_package_exports_all_or_is_leaf():
         module = importlib.import_module(module_name)
         if hasattr(module, "__path__"):  # a package
             assert hasattr(module, "__all__") or module.__doc__, module_name
+
+
+def _first_cells(path):
+    """The first cell of every markdown table row in ``path``, unquoted."""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith("|"):
+            yield line.strip().strip("|").split("|")[0].strip().strip("`")
+
+
+def test_doc_tables_name_only_declared_conf_keys_or_metrics():
+    known = set(DEFAULT_CONF) | set(_first_cells(DOCS / "metrics.md"))
+    # fault-point names share the prefixes (docs/fault_tolerance.md registry)
+    known |= {v for k, v in vars(faults).items() if k.startswith("FAULT_")}
+    stale = [f"{path.name}: {cell}"
+             for path in sorted(DOCS.glob("*.md"))
+             for cell in _first_cells(path)
+             if _SESSION_NAME_RE.match(cell) and cell not in known]
+    assert not stale, (f"docs tables name keys that are neither in "
+                       f"DEFAULT_CONF nor docs/metrics.md: {stale}")
