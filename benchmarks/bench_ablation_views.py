@@ -12,9 +12,9 @@ Three measurements:
   repairs the view incrementally; the incremental cost must stay under 10%
   of a full recomputation (``REFRESH MATERIALIZED VIEW``), and the repaired
   view must again answer byte-identically to a fresh recompute.
-* **invariance spot-check** -- the flag-off run carries no ``sql.view.*``
-  or ``hbase.cdc.*`` counters (the full guarantee is pinned by
-  tests/integration/test_view_invariance.py).
+* **invariance spot-check** -- the view-free session's runs carry no
+  ``sql.view.*`` or ``hbase.cdc.*`` counters (the full guarantee is pinned
+  by tests/integration/test_invariance.py).
 
 Inventory is loaded at a fixed nominal size (independent of BENCH_SMOKE:
 the simulated totals stay scale-comparable and the load is seconds of real
@@ -74,8 +74,7 @@ def test_views_dashboard(benchmark, views_env):
             base_session, DASHBOARD, REPEATS)
         base_session.shutdown()
 
-        view_session = views_env.new_session(
-            conf={"sql.view.enabled": True})
+        view_session = views_env.new_session()
         # build cost via the shared simulated clock: the CREATE statement's
         # QueryResult only prices its summary relation, while the
         # materializing scan+write advances the clock inline
@@ -176,7 +175,7 @@ def test_views_report(benchmark, views_env):
         for run in dash["view_runs"]:
             assert [e["action"] for e in run.view_events] == ["rewrites"]
 
-        # flag-off runs carry no view machinery at all
+        # the view-free session's runs carry no view machinery at all
         for run in dash["base_runs"]:
             for key in run.metrics.snapshot():
                 assert not key.startswith("sql.view."), key

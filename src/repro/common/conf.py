@@ -39,42 +39,15 @@ DEFAULT_CONF: Dict[str, object] = {
     # semi-join reduction (needs sql.cbo.enabled): pre-filter a large probe
     # scan by the distinct join keys of a small build side before shuffling
     "sql.cbo.semijoin": True,
-    # exact left-deep DP join ordering up to this many inputs; greedy above
-    "sql.cbo.joinReorder.dpThreshold": 6,
-    # equi-height histogram buckets collected per column by ANALYZE
-    "sql.cbo.histogram.buckets": 8,
-    # semi-join reduction applies only when the build side is estimated at
-    # or under this many rows ...
-    "sql.cbo.semijoin.maxBuildRows": 10000,
-    # ... and (checked at runtime) the build yields at most this many
-    # distinct keys; above it the reduction aborts and joins normally
-    "sql.cbo.semijoin.maxKeys": 16384,
-    # DataFrame.cache()/persist(): executor-memory partition cache.  The
-    # enabled flag gates persist() itself -- with it off (or with no
-    # persist() calls, the default state) planning and execution are
-    # byte-identical to an uncached session
-    "sql.cache.enabled": True,
     # thread-pool stage runner: one worker per executor slot; turn off for
     # the serial driver-thread baseline the parallelism ablation measures
     "engine.parallel.enabled": True,
     # real seconds slept per simulated task-second, to emulate the I/O wait
     # a real scan spends off-CPU (0 = off; benchmarks opt in)
     "engine.realtime.scale": 0.0,
-    # speculative execution: duplicate a tail task once `quantile` of the
-    # stage finished and it has run `multiplier` x the median task duration
-    # (off by default; chaos/straggler runs opt in)
+    # speculative execution: duplicate straggling tail tasks (thresholds in
+    # repro.engine.runner; off by default, chaos/straggler runs opt in)
     "engine.speculation.enabled": False,
-    "engine.speculation.multiplier": 1.5,
-    "engine.speculation.quantile": 0.5,
-    # materialized views (docs/views.md): CREATE MATERIALIZED VIEW persists
-    # aggregations/joins as HBase tables maintained incrementally from a
-    # WAL-tailing CDC feed, and the optimizer rewrites matching queries onto
-    # fresh-enough views.  Off by default -- with the flag off (or on but no
-    # view created) planning and every ledger are byte-identical to the seed
-    "sql.view.enabled": False,
-    # maximum CDC lag (simulated seconds of unshipped WAL tail) a view may
-    # carry and still answer queries; 0.0 = only fully caught-up views
-    "sql.view.staleness": 0.0,
 }
 
 #: prefixes the session conf owns: an undeclared key under one is a typo

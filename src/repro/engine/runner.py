@@ -41,6 +41,12 @@ from repro.engine.cluster import Executor
 #: scheduling events a task waits for a preferred slot before going remote
 DEFAULT_LOCALITY_WAIT_SKIPS = 2
 
+#: speculative execution: duplicate a tail task once this fraction of the
+#: stage has finished ...
+SPECULATION_QUANTILE = 0.5
+#: ... and the task has run this many times the median task duration
+SPECULATION_MULTIPLIER = 1.5
+
 
 @dataclass
 class TaskSpec:
@@ -107,8 +113,6 @@ class StageRunner:
         locality_wait_skips: int = DEFAULT_LOCALITY_WAIT_SKIPS,
         realtime_scale: float = 0.0,
         speculation_enabled: bool = False,
-        speculation_multiplier: float = 1.5,
-        speculation_quantile: float = 0.5,
     ) -> None:
         if not slots:
             raise ValueError("a stage runner needs at least one slot")
@@ -119,8 +123,6 @@ class StageRunner:
         self.locality_wait_skips = max(0, locality_wait_skips)
         self.realtime_scale = realtime_scale
         self.speculation_enabled = speculation_enabled
-        self.speculation_multiplier = speculation_multiplier
-        self.speculation_quantile = speculation_quantile
 
     # -- helpers -----------------------------------------------------------
     def _least_loaded(self, candidates: Sequence[int],
@@ -283,22 +285,23 @@ class ThreadPoolStageRunner(StageRunner):
     ) -> int:
         """Duplicate straggling in-flight tasks onto free slots (tail mitigation).
 
-        Spark-style: once a quantile of the stage has finished, any still
-        running task whose live simulated cost exceeds ``multiplier x median``
-        of the completed durations gets one duplicate on a *different* host.
+        Spark-style: once :data:`SPECULATION_QUANTILE` of the stage has
+        finished, any still running task whose live simulated cost exceeds
+        :data:`SPECULATION_MULTIPLIER` x the median of the completed
+        durations gets one duplicate on a *different* host.
         First finisher wins; the loser's ledger lands in ``wasted``.  The
         winner alone advances its slot's simulated timeline -- in the
         simulated cluster the loser is killed the moment the winner reports,
         which is exactly the tail-latency cut speculation exists to buy.
         """
-        needed = max(1, int(self.speculation_quantile * total))
+        needed = max(1, int(SPECULATION_QUANTILE * total))
         if len(outcomes) < needed:
             return 0
         durations = sorted(o.ledger.seconds for o in outcomes)
         median = durations[len(durations) // 2]
         if median <= 0.0:
             return 0
-        threshold = self.speculation_multiplier * median
+        threshold = SPECULATION_MULTIPLIER * median
         launched = 0
         for spec, __slot in list(in_flight.values()):
             if not free_slots:

@@ -14,10 +14,10 @@ locality-aware placement (delay scheduling).  ``StageInfo`` reports both the
 simulated makespan and the measured wall-clock per stage.
 
 Fault tolerance follows Spark: a failing task is retried on another slot up
-to ``max_task_retries`` times before the job aborts -- recomputation is free
-because compute() re-runs the lineage.  Locality is counted against the host
-that *actually* ran the task, so a retry that rotated hosts is not
-misreported as node-local.
+to :data:`MAX_TASK_RETRIES` times before the job aborts -- recomputation is
+free because compute() re-runs the lineage.  Locality is counted against
+the host that *actually* ran the task, so a retry that rotated hosts is
+not misreported as node-local.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ from repro.engine.shuffle import (
     estimate_size,
     stable_hash,
 )
+
+#: a failing task is retried this many times before the job aborts
+MAX_TASK_RETRIES = 3
+#: first inter-retry backoff in simulated seconds, doubling per attempt ...
+RETRY_BACKOFF_S = 0.05
+#: ... up to this cap (before deterministic jitter)
+RETRY_BACKOFF_MAX_S = 2.0
 
 
 class TaskContext:
@@ -172,17 +179,12 @@ class TaskScheduler:
         cluster: ComputeCluster,
         cost_model: CostModel,
         locality_enabled: bool = True,
-        max_task_retries: int = 3,
         parallel: bool = True,
         locality_wait_skips: int = DEFAULT_LOCALITY_WAIT_SKIPS,
         realtime_scale: float = 0.0,
         faults=None,
         speculation_enabled: bool = False,
-        speculation_multiplier: float = 1.5,
-        speculation_quantile: float = 0.5,
         blacklist_max_failures: int = 2,
-        retry_backoff_s: float = 0.05,
-        retry_backoff_max_s: float = 2.0,
         trace=NOOP_SPAN,
         slots=None,
         queued_s: float = 0.0,
@@ -190,7 +192,6 @@ class TaskScheduler:
         self.cluster = cluster
         self.cost = cost_model
         self.locality_enabled = locality_enabled
-        self.max_task_retries = max_task_retries
         #: parent span for stage spans; NOOP_SPAN = tracing disabled
         self.trace = trace if trace is not None else NOOP_SPAN
         self._stage_span = NOOP_SPAN
@@ -200,8 +201,6 @@ class TaskScheduler:
         #: shuffle-fetch failures); None keeps every point a no-op
         self.faults = faults
         self.blacklist_max_failures = blacklist_max_failures
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_backoff_max_s = retry_backoff_max_s
         self._blacklist_lock = threading.Lock()
         self._host_failures: Dict[str, int] = {}
         self._blacklisted: set[str] = set()
@@ -228,8 +227,6 @@ class TaskScheduler:
             locality_wait_skips=locality_wait_skips,
             realtime_scale=realtime_scale,
             speculation_enabled=speculation_enabled,
-            speculation_multiplier=speculation_multiplier,
-            speculation_quantile=speculation_quantile,
         )
 
     # -- public API -------------------------------------------------------
@@ -548,7 +545,7 @@ class TaskScheduler:
             index=spec.index, placed_host=placed_host,
             speculative=spec.speculative,
         )
-        while attempts <= self.max_task_retries:
+        while attempts <= MAX_TASK_RETRIES:
             ledger = CostLedger()
             ledger.queued_s = self.queued_s
             attempt_span = task_span.child(f"attempt-{attempts + 1}", "attempt",
@@ -574,7 +571,7 @@ class TaskScheduler:
                 if carry is None:
                     carry = CostLedger()
                 carry.merge(ledger)
-                if attempts <= self.max_task_retries:
+                if attempts <= MAX_TASK_RETRIES:
                     backoff = self._retry_backoff(spec.index, attempts)
                     carry.charge(backoff, "engine.retry_backoff_s", backoff)
                     # Spark would retry on another executor; rotate hosts,
@@ -651,8 +648,7 @@ class TaskScheduler:
 
     def _retry_backoff(self, task_index: int, attempt: int) -> float:
         """Capped exponential inter-retry backoff with deterministic jitter."""
-        raw = min(self.retry_backoff_max_s,
-                  self.retry_backoff_s * 2 ** (attempt - 1))
+        raw = min(RETRY_BACKOFF_MAX_S, RETRY_BACKOFF_S * 2 ** (attempt - 1))
         return raw * (0.5 + stable_fraction("engine.retry", task_index, attempt))
 
     def _retry_host(self, slot_idx: int, attempts: int) -> str:

@@ -27,8 +27,8 @@ over it.  The CDC stream turns that into a consumer abstraction:
   cluster-owned :class:`~repro.common.metrics.CostLedger`
   (``hbase.cdc.*``), never a query ledger.
 - :meth:`CDCStream.lag_s` prices the unshipped tail of a subscription in
-  simulated seconds -- the freshness signal behind the optimizer's
-  ``sql.view.staleness`` knob.
+  simulated seconds -- the freshness signal the optimizer checks against
+  ``repro.sql.views.MAX_STALENESS_S`` before answering from a view.
 
 With CDC never enabled (``cluster.cdc is None``, the default) nothing in
 this module runs and every ledger stays byte-identical to the seed.

@@ -133,17 +133,13 @@ class QueryServer:
 
     Submit requests with :meth:`submit` (thread-safe; deterministic when
     arrival times are pinned), then :meth:`drain` runs the discrete-event
-    loop to completion.  ``enabled=False`` is the invariance escape hatch:
-    every request executes directly through the session with zero serving
-    bookkeeping, byte-identical to calling ``session.sql().run()`` yourself.
+    loop to completion.
     """
 
     def __init__(self, session, config: Optional[ServingConfig] = None,
-                 enabled: bool = True, faults=None,
-                 hbase_cluster=None) -> None:
+                 faults=None, hbase_cluster=None) -> None:
         self.session = session
         self.config = config if config is not None else ServingConfig()
-        self.enabled = enabled
         #: optional FaultInjector checked at the FAULT_ADMISSION point
         self.faults = faults
         #: optional HBaseCluster whose region-server deaths feed the breaker
@@ -174,10 +170,17 @@ class QueryServer:
 
         Must happen before the first :meth:`drain` (slot partitions are
         frozen then).  Unregistered tenants get weight 1, no rate limit and
-        no reserved slots.
+        no reserved slots.  A non-positive ``weight`` or a negative
+        ``reserved_slots`` raises ``ValueError`` naming the field.
         """
         if self._partitioned:
             raise ReproError("tenants must be registered before drain()")
+        if weight <= 0:
+            raise ValueError(f"tenant {name!r}: weight must be positive, "
+                             f"got {weight!r}")
+        if reserved_slots < 0:
+            raise ValueError(f"tenant {name!r}: reserved_slots must be "
+                             f"non-negative, got {reserved_slots!r}")
         spec = TenantSpec(name, weight=weight, rate=rate, burst=burst,
                           reserved_slots=reserved_slots)
         self._tenants[name] = spec
@@ -230,10 +233,6 @@ class QueryServer:
             tickets, self._pending = self._pending, []
         if not tickets:
             return tickets
-        if not self.enabled:
-            for ticket in tickets:
-                self._run_direct(ticket)
-            return tickets
         self._ensure_partitions()
         for ticket in tickets:
             heapq.heappush(
@@ -247,16 +246,6 @@ class QueryServer:
                 self._on_arrival(now, ticket)
             self._dispatch(now)
         return tickets
-
-    def _run_direct(self, ticket: Ticket) -> None:
-        """The disabled front door: a bare session run, nothing recorded."""
-        df = self.session.sql(ticket.sql)
-        try:
-            ticket.query_result = self.session.execute_plan(df.plan)
-            ticket.status = COMPLETED
-        except ReproError as exc:
-            ticket.error = exc
-            ticket.status = FAILED
 
     # -- bulkhead partitions -----------------------------------------------
     def _ensure_partitions(self) -> None:
@@ -519,6 +508,5 @@ class QueryServer:
         return [(t.seq, t.reason or "?") for t in tickets if t.status == SHED]
 
     def __repr__(self) -> str:
-        return (f"QueryServer(enabled={self.enabled}, "
-                f"tenants={sorted(self._tenants)}, "
+        return (f"QueryServer(tenants={sorted(self._tenants)}, "
                 f"breaker={self.breaker.state})")

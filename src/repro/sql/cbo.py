@@ -8,9 +8,9 @@ Built on the ANALYZE statistics in :mod:`repro.sql.stats` (docs/optimizer.md):
   for ranges, ``|L||R| / max(ndv_l, ndv_r)`` for equi-joins).
 - :func:`reorder_joins` flattens maximal inner-join clusters and re-orders
   them by estimated cost -- exact left-deep dynamic programming up to
-  ``sql.cbo.joinReorder.dpThreshold`` inputs, greedy smallest-intermediate
-  above it.  Clusters whose inputs lack (or have stale) statistics keep
-  their syntactic order, so un-ANALYZE'd queries behave exactly as before.
+  :data:`DP_THRESHOLD` inputs, greedy smallest-intermediate above it.
+  Clusters whose inputs lack (or have stale) statistics keep their
+  syntactic order, so un-ANALYZE'd queries behave exactly as before.
 - :func:`semijoin_keep_fraction` is the planner's profitability test for
   semi-join reduction (:class:`~repro.sql.physical.SemiJoinReducedJoinExec`).
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.common.conf import conf_value
 from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql.stats import (
@@ -36,6 +35,8 @@ from repro.sql.stats import (
 DEFAULT_SELECTIVITY = 1.0 / 3.0
 #: rows assumed for leaves with no statistics (estimates stay unconfident)
 UNKNOWN_ROWS = float(1 << 30)
+#: exact left-deep DP join ordering up to this many inputs; greedy above
+DP_THRESHOLD = 6
 
 _FLIP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
@@ -75,10 +76,8 @@ class Estimate:
 class CardinalityEstimator:
     """Bottom-up estimates from the session's :class:`StatsStore`."""
 
-    def __init__(self, store: StatsStore, conf: Dict[str, object],
-                 metrics=None) -> None:
+    def __init__(self, store: StatsStore, metrics=None) -> None:
         self.store = store
-        self.conf = conf
         self.metrics = metrics
 
     def _incr(self, name: str, amount: float = 1) -> None:
@@ -349,7 +348,7 @@ class CardinalityEstimator:
 # -- join reordering ---------------------------------------------------------
 
 def reorder_joins(plan: L.LogicalPlan, store: StatsStore,
-                  conf: Dict[str, object], metrics=None) -> L.LogicalPlan:
+                  metrics=None) -> L.LogicalPlan:
     """Re-order maximal inner-join clusters by estimated cost.
 
     Each reordered cluster is rebuilt left-deep and wrapped in a Project
@@ -357,8 +356,7 @@ def reorder_joins(plan: L.LogicalPlan, store: StatsStore,
     query's answer) are unaffected.  Clusters with any unconfident input
     estimate are left in syntactic order (``sql.cbo.reorders_rejected``).
     """
-    estimator = CardinalityEstimator(store, conf, metrics)
-    dp_threshold = conf_value(conf, "sql.cbo.joinReorder.dpThreshold")
+    estimator = CardinalityEstimator(store, metrics)
 
     def transform(node: L.LogicalPlan) -> L.LogicalPlan:
         if isinstance(node, L.Join) and node.how == "inner":
@@ -366,7 +364,7 @@ def reorder_joins(plan: L.LogicalPlan, store: StatsStore,
             if len(inputs) >= 3:
                 new_inputs = [transform(i) for i in inputs]
                 replaced = _try_reorder(node, new_inputs, conjuncts,
-                                        estimator, dp_threshold, metrics)
+                                        estimator, metrics)
                 if replaced is not None:
                     return replaced
                 if all(n is o for n, o in zip(new_inputs, inputs)):
@@ -401,7 +399,7 @@ def _rebuild(node: L.LogicalPlan, mapping: Dict[int, L.LogicalPlan]) -> L.Logica
 
 def _try_reorder(node: L.Join, inputs: List[L.LogicalPlan],
                  conjuncts: List[E.Expression],
-                 estimator: CardinalityEstimator, dp_threshold: int,
+                 estimator: CardinalityEstimator,
                  metrics) -> Optional[L.LogicalPlan]:
     ests = [estimator.estimate(i) for i in inputs]
     if not all(e.confident for e in ests):
@@ -440,7 +438,7 @@ def _try_reorder(node: L.Join, inputs: List[L.LogicalPlan],
         new_cost = cost + state_rows + rows[j] + new_rows
         return new_cost, new_rows, order + (j,), used | applicable
 
-    if n <= dp_threshold:
+    if n <= DP_THRESHOLD:
         order = _dp_order(n, rows, extend)
     else:
         order = _greedy_order(n, rows, extend)

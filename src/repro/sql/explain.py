@@ -327,7 +327,7 @@ def views_section_lines(events) -> List[str]:
                          f"{base_b}, lag {lag:.4f}s")
         elif action == "rejected_stale":
             lines.append(f"rejected {name}: stale (lag {lag:.4f}s over "
-                         f"sql.view.staleness)")
+                         f"the staleness bound)")
         elif action == "rejected_cost":
             lines.append(f"rejected {name}: view {view_b} not smaller than "
                          f"base {base_b}")
@@ -337,7 +337,7 @@ def views_section_lines(events) -> List[str]:
 
 
 def _views_section(result) -> List[str]:
-    """Materialized-view decisions for this execution (sql.view.enabled)."""
+    """Materialized-view decisions for this execution (empty without views)."""
     return views_section_lines(getattr(result, "view_events", []))
 
 

@@ -31,11 +31,11 @@ def optimize(plan: L.LogicalPlan, conf: Optional[Dict[str, object]] = None,
     pruning, which then minimises the reordered tree's projections.
 
     With ``views`` (a :class:`repro.sql.views.ViewRewriteContext`, built only
-    when ``sql.view.enabled`` is on and a view exists), the materialized-view
-    rewrite runs after predicate pushdown -- so group-column filters already
-    sit directly over the base relation, which is exactly the shape the
-    matcher prices -- and before join reordering, so a rewritten aggregate
-    no longer participates in the CBO's join search.
+    when the session has a view), the materialized-view rewrite runs after
+    predicate pushdown -- so group-column filters already sit directly over
+    the base relation, which is exactly the shape the matcher prices -- and
+    before join reordering, so a rewritten aggregate no longer participates
+    in the CBO's join search.
     """
     plan = eliminate_subquery_aliases(plan)
     for __ in range(3):
@@ -51,7 +51,7 @@ def optimize(plan: L.LogicalPlan, conf: Optional[Dict[str, object]] = None,
             and conf_value(conf, "sql.cbo.enabled"):
         from repro.sql.cbo import reorder_joins
 
-        plan = reorder_joins(plan, stats, conf, metrics)
+        plan = reorder_joins(plan, stats, metrics)
         plan = push_down_predicates(plan)
     plan = prune_columns(plan)
     plan = combine_filters(plan)

@@ -31,6 +31,13 @@ from repro.sql.sources import translate_expression
 #: size assigned to relations that cannot estimate themselves
 UNKNOWN_SIZE = 1 << 60
 
+#: semi-join reduction applies only when the build side is estimated at or
+#: under this many rows ...
+SEMIJOIN_MAX_BUILD_ROWS = 10000
+#: ... and (checked at runtime) the build yields at most this many distinct
+#: keys; above it the reduction aborts and joins normally
+SEMIJOIN_MAX_KEYS = 16384
+
 
 def estimate_plan_size(plan: L.LogicalPlan) -> int:
     """Coarse cardinality/size propagation (Catalyst statistics-lite)."""
@@ -96,11 +103,8 @@ class Planner:
         if stats is not None and conf_value(conf, "sql.cbo.enabled"):
             from repro.sql.cbo import CardinalityEstimator
 
-            self.estimator = CardinalityEstimator(stats, conf, metrics)
+            self.estimator = CardinalityEstimator(stats, metrics)
             self.semijoin_enabled = conf_value(conf, "sql.cbo.semijoin")
-            self.semijoin_max_build = conf_value(
-                conf, "sql.cbo.semijoin.maxBuildRows")
-            self.semijoin_max_keys = conf_value(conf, "sql.cbo.semijoin.maxKeys")
         #: adaptive query execution (docs/adaptive.md): shuffled joins plan
         #: as AdaptiveJoinExec stage barriers instead of committing to a
         #: strategy from size estimates
@@ -390,7 +394,7 @@ class Planner:
             return None
         if est_left is None or not (est_left.confident and est_right.confident):
             return None
-        if est_right.rows > self.semijoin_max_build:
+        if est_right.rows > SEMIJOIN_MAX_BUILD_ROWS:
             return None
         from repro.sql.cbo import semijoin_keep_fraction
 
@@ -401,7 +405,7 @@ class Planner:
         self._incr("sql.cbo.semijoins_applied")
         return self._stamp(P.SemiJoinReducedJoinExec(
             left_plan, right_plan, left_keys, right_keys, node.how, residual,
-            max_keys=self.semijoin_max_keys,
+            max_keys=SEMIJOIN_MAX_KEYS,
         ), est_join)
 
     def _incr(self, name: str) -> None:

@@ -56,9 +56,9 @@ class QueryResult:
     #: queue wait, breaker state, leased slots); None for direct runs --
     #: see docs/serving.md and the EXPLAIN ANALYZE serving section
     serving: Optional[Dict[str, object]] = None
-    #: materialized-view rewrite decisions (sql.view.enabled), in match
-    #: order; empty when no view was considered -- see docs/views.md and
-    #: the EXPLAIN ANALYZE "Materialized Views" section
+    #: materialized-view rewrite decisions, in match order; empty when no
+    #: view was considered -- see docs/views.md and the EXPLAIN ANALYZE
+    #: "Materialized Views" section
     view_events: List[Dict[str, object]] = field(default_factory=list)
 
     @property
@@ -108,11 +108,8 @@ class SparkSession:
         #: optional FaultInjector for engine-side fault points; None = off
         self.faults = None
         #: executor-side partition cache behind DataFrame.persist(), a
-        #: 64 MiB LRU budget; None when sql.cache.enabled is off (persist()
-        #: then no-ops)
-        self.cache_manager: Optional[CacheManager] = None
-        if conf_value(self.conf, "sql.cache.enabled"):
-            self.cache_manager = CacheManager(64 * 1024 * 1024)
+        #: 64 MiB LRU budget; idle until something is persisted
+        self.cache_manager = CacheManager(64 * 1024 * 1024)
         #: lazy ViewManager (docs/views.md); stays None until the first
         #: view statement, so view-free sessions never touch the module
         self._view_manager = None
@@ -142,10 +139,6 @@ class SparkSession:
             faults=self.faults,
             speculation_enabled=conf_value(
                 self.conf, "engine.speculation.enabled"),
-            speculation_multiplier=conf_value(
-                self.conf, "engine.speculation.multiplier"),
-            speculation_quantile=conf_value(
-                self.conf, "engine.speculation.quantile"),
         )
 
     # -- data ingestion --------------------------------------------------------------
@@ -217,13 +210,11 @@ class SparkSession:
     def view_rewrite_context(self):
         """Per-query rewrite state, or None when views cannot apply.
 
-        None is the common case -- flag off, or no view ever created in
-        this session -- and keeps the planning path allocation-identical
-        to the seed.
+        None is the common case -- no view created or adopted in this
+        session -- and keeps the planning path allocation-identical to the
+        seed.
         """
         if self._view_manager is None:
-            return None
-        if not conf_value(self.conf, "sql.view.enabled"):
             return None
         from repro.sql.views import build_rewrite_context
 
@@ -237,10 +228,6 @@ class SparkSession:
             RefreshMaterializedView,
         )
 
-        if not conf_value(self.conf, "sql.view.enabled"):
-            raise AnalysisError(
-                "materialized views are disabled; set sql.view.enabled"
-            )
         if isinstance(plan, CreateMaterializedView):
             schema, rows, metrics = self.views.create(
                 plan.name, plan.children[0], text)
@@ -271,10 +258,8 @@ class SparkSession:
 
         analyzed = self.analyze(UnresolvedRelation(name))
         result = self.execute_plan(analyzed)
-        buckets = conf_value(self.conf, "sql.cbo.histogram.buckets")
         stats = compute_table_stats(
-            [tuple(r.values) for r in result.rows], result.schema, buckets
-        )
+            [tuple(r.values) for r in result.rows], result.schema)
         # the collection scan's ledger rides onto the summary row the
         # statement returns, so ANALYZE's cost and counters are observable
         collected = MetricsRegistry()
@@ -321,8 +306,7 @@ class SparkSession:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        if self.cache_manager is not None:
-            self.cache_manager.clear()
+        self.cache_manager.clear()
 
     # -- execution -----------------------------------------------------------------------
     def query_trace(self, trace=None) -> "Span | object":

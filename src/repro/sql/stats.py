@@ -32,6 +32,9 @@ STATS_ATTRIBUTE = "shc.table.stats"
 #: JSON-representable scalar types allowed into min/max/histogram bounds
 _ORDERED_SCALARS = (int, float, str)
 
+#: equi-height histogram buckets collected per column by ANALYZE
+HISTOGRAM_BUCKETS = 8
+
 
 @dataclass
 class Histogram:
@@ -166,8 +169,7 @@ def build_histogram(values: Sequence[object], buckets: int = 8) -> Optional[Hist
     return Histogram(bounds, heights)
 
 
-def compute_table_stats(rows: Sequence[tuple], schema,
-                        histogram_buckets: int = 8) -> TableStats:
+def compute_table_stats(rows: Sequence[tuple], schema) -> TableStats:
     """Distil collected rows into :class:`TableStats` (deterministic)."""
     from repro.engine.shuffle import estimate_size
 
@@ -180,7 +182,7 @@ def compute_table_stats(rows: Sequence[tuple], schema,
             ndv = len(set(non_null))
         except TypeError:  # unhashable values: every row its own group
             ndv = len(non_null)
-        histogram = build_histogram(non_null, histogram_buckets)
+        histogram = build_histogram(non_null, HISTOGRAM_BUCKETS)
         min_value = histogram.bounds[0] if histogram else None
         max_value = histogram.bounds[-1] if histogram else None
         columns[field_.name] = ColumnStats(

@@ -27,14 +27,14 @@ rewriting).  Three cooperating pieces live here:
   optimization, a matching Aggregate (or Project-over-Join) subtree is
   replaced by a scan of the view -- but only when the view is *fresh
   enough*: not invalidated, and its CDC lag (simulated seconds of
-  unshipped WAL tail) is within ``sql.view.staleness``.  The replacement
+  unshipped WAL tail) is within :data:`MAX_STALENESS_S`.  The replacement
   is priced against the base plan -- with PR-8's statistics when
   ``sql.cbo.enabled`` provides them, else by relation size -- and every
   decision surfaces in EXPLAIN's "Materialized Views" section.
 
-Everything is gated on ``sql.view.enabled``; with the flag off (or on but
-no view created) no code here runs and every ledger stays byte-identical
-to the seed (tests/integration/test_view_invariance.py).
+Views act only once a session creates (or hydrates) one; until then no
+code here runs and every ledger stays byte-identical to the seed
+(tests/integration/test_invariance.py).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.common.conf import conf_value
 from repro.common.errors import AnalysisError
 from repro.common.metrics import CostLedger, MetricsRegistry
 from repro.sql import expressions as E
@@ -54,6 +53,10 @@ VIEW_ATTRIBUTE = "shc.view.definition"
 
 #: storage table name prefix (keeps view tables out of base-table namespace)
 VIEW_TABLE_PREFIX = "mv_"
+
+#: maximum CDC lag (simulated seconds of unshipped WAL tail) a view may
+#: carry and still answer queries; 0.0 admits only fully caught-up views
+MAX_STALENESS_S = 0.0
 
 #: hidden helper columns (never exposed to the rewriter)
 ROWS_HELPER = "_rows"
@@ -1088,7 +1091,6 @@ def build_rewrite_context(session) -> Optional[ViewRewriteContext]:
     definitions = manager.definitions()
     if not definitions:
         return None
-    staleness = conf_value(session.conf, "sql.view.staleness")
     candidates: List[ViewCandidate] = []
     for vdef in definitions:
         cluster = get_cluster(vdef.quorum)
@@ -1104,7 +1106,7 @@ def build_rewrite_context(session) -> Optional[ViewRewriteContext]:
         if cluster.cdc is not None and vdef.subscription_name in \
                 cluster.cdc.subscription_names():
             lag = cluster.cdc.lag_s(vdef.subscription_name)
-        fresh = (not invalidated) and lag <= staleness
+        fresh = (not invalidated) and lag <= MAX_STALENESS_S
         size = cluster.table_size_bytes(vdef.storage_table)
         candidates.append(ViewCandidate(vdef, fresh, lag, invalidated, size))
     if not candidates:
@@ -1114,7 +1116,7 @@ def build_rewrite_context(session) -> Optional[ViewRewriteContext]:
     if stats is not None:
         from repro.sql.cbo import CardinalityEstimator
 
-        estimator = CardinalityEstimator(stats, session.conf, None)
+        estimator = CardinalityEstimator(stats)
     return ViewRewriteContext(session, candidates, estimator)
 
 

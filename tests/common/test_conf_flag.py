@@ -58,7 +58,7 @@ def test_unparseable_number_raises_at_session_construction():
 
 @pytest.mark.parametrize("key, value", [
     ("sql.shuffle.partitions", True),
-    ("engine.speculation.quantile", False),
+    ("sql.aqe.skewedPartitionFactor", False),
     ("sql.local.scan.partitions", 1.5),
 ], ids=repr)
 def test_bool_or_truncating_value_for_numeric_key_raises(key, value):

@@ -163,8 +163,7 @@ def test_speculative_loser_is_marked_wasted():
                     action=SlowHostEffect(factor=4.0, sleep_s=0.6))
     trace = Span("query", "query")
     scheduler = make_scheduler(faults=injector, speculation_enabled=True,
-                               speculation_multiplier=1.5,
-                               speculation_quantile=0.5, trace=trace)
+                               trace=trace)
     rdd = ParallelCollectionRDD(range(8), 4).map_partitions(charging(1.0))
     result = scheduler.run_job(rdd)
     trace.finish(sim_seconds=result.seconds)

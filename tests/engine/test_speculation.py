@@ -35,9 +35,7 @@ def test_speculative_copy_beats_straggler():
     # and half a second of wall-clock hang for the dispatcher to observe
     injector.inject(FAULT_SLOW_HOST, rate=1.0, times=1, key="h1",
                     action=SlowHostEffect(factor=4.0, sleep_s=0.6))
-    scheduler = make_scheduler(faults=injector, speculation_enabled=True,
-                               speculation_multiplier=1.5,
-                               speculation_quantile=0.5)
+    scheduler = make_scheduler(faults=injector, speculation_enabled=True)
     rdd = ParallelCollectionRDD(range(8), 4).map_partitions(charging(1.0))
     result = scheduler.run_job(rdd)
 

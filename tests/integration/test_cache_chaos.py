@@ -27,11 +27,7 @@ from repro.workloads import load_tpcds
 
 BLOCK_CACHE_BYTES = 64 * 1024 * 1024
 
-SPECULATION_CONF = {
-    "engine.speculation.enabled": True,
-    "engine.speculation.quantile": 0.25,
-    "engine.speculation.multiplier": 1.5,
-}
+SPECULATION_CONF = {"engine.speculation.enabled": True}
 
 QUERY = ("SELECT ss_item_sk, ss_quantity FROM store_sales "
          "WHERE ss_quantity > 1")

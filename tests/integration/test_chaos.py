@@ -30,11 +30,7 @@ from repro.workloads.tpcds_schema import Q38_TABLES, Q39_TABLES
 #: the pinned chaos schedules CI replays (see docs/fault_tolerance.md)
 CHAOS_SEEDS = (101, 202, 303)
 
-SPECULATION_CONF = {
-    "engine.speculation.enabled": True,
-    "engine.speculation.quantile": 0.25,
-    "engine.speculation.multiplier": 1.5,
-}
+SPECULATION_CONF = {"engine.speculation.enabled": True}
 
 #: small scanner pages so the injected crash lands *between* result pages
 CHAOS_READER_OPTIONS = {HBaseSparkConf.CACHED_ROWS: "40"}

@@ -210,6 +210,18 @@ def test_register_after_drain_is_rejected(session):
         server.register_tenant("late")
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("weight", {"weight": 0}),
+    ("weight", {"weight": -1.5}),
+    ("reserved_slots", {"reserved_slots": -3}),
+], ids=["zero-weight", "negative-weight", "negative-reserved-slots"])
+def test_bad_tenant_spec_is_rejected_at_registration(session, field, kwargs):
+    # accepting it would break drain() partway through the event loop
+    server = _server(session)
+    with pytest.raises(ValueError, match=field):
+        server.register_tenant("bad", **kwargs)
+
+
 # -- tracing and EXPLAIN ---------------------------------------------------
 def test_tracing_records_admission_and_shed_events(session):
     session.conf["tracing.enabled"] = True
@@ -243,15 +255,10 @@ def test_explain_analyze_carries_serving_section(session):
     assert "== Serving ==" not in direct
 
 
-# -- disabled passthrough and determinism ----------------------------------
-def test_disabled_server_is_pure_passthrough(session):
-    _with_table(session)
-    server = _server(session, enabled=False)
-    ticket = server.submit(QUERY, tenant="ignored")
-    server.drain()
-    assert ticket.status == COMPLETED
-    assert ticket.result().serving is None
-    assert dict(server.metrics.snapshot()) == {}
+# -- one serving path and determinism --------------------------------------
+def test_server_has_no_disabled_mode(session):
+    with pytest.raises(TypeError):
+        QueryServer(session, enabled=False)
 
 
 def test_decision_schedule_is_deterministic():

@@ -3,9 +3,10 @@ reduction gates and the EXPLAIN surface (docs/optimizer.md)."""
 
 import pytest
 
-from repro.common.conf import DEFAULT_CONF, resolve_conf
+from repro.common.conf import resolve_conf
 from repro.common.metrics import MetricsRegistry
 from repro.sql import expressions as E
+from repro.sql import cbo, planner
 from repro.sql import logical as L
 from repro.sql.analyzer import Analyzer, Catalog
 from repro.sql.cbo import (
@@ -31,7 +32,7 @@ SCHEMA = StructType([
 
 
 def estimator(metrics=None):
-    return CardinalityEstimator(StatsStore(), dict(DEFAULT_CONF), metrics)
+    return CardinalityEstimator(StatsStore(), metrics)
 
 
 def analyzed(sql, **tables):
@@ -148,7 +149,7 @@ def _star_plan():
 def test_dp_reorder_moves_selective_join_first():
     metrics = MetricsRegistry()
     plan = _star_plan()
-    out = reorder_joins(plan, StatsStore(), dict(DEFAULT_CONF), metrics)
+    out = reorder_joins(plan, StatsStore(), metrics)
     assert metrics.get("sql.cbo.reorders_applied") == 1.0
     # output columns (names and ids) are preserved by the restoring Project
     assert [a.attr_id for a in out.output] == [a.attr_id for a in plan.output]
@@ -165,12 +166,11 @@ def test_dp_reorder_moves_selective_join_first():
     assert metrics.get("sql.cbo.reorders_rejected") == 0.0
 
 
-def test_greedy_reorder_above_dp_threshold():
-    conf = dict(DEFAULT_CONF)
-    conf["sql.cbo.joinReorder.dpThreshold"] = 2  # forces the greedy path
+def test_greedy_reorder_above_dp_threshold(monkeypatch):
+    monkeypatch.setattr(cbo, "DP_THRESHOLD", 2)  # forces the greedy path
     metrics = MetricsRegistry()
     plan = _star_plan()
-    out = reorder_joins(plan, StatsStore(), conf, metrics)
+    out = reorder_joins(plan, StatsStore(), metrics)
     assert metrics.get("sql.cbo.reorders_applied") == 1.0
     assert [a.name for a in out.output] == [a.name for a in plan.output]
 
@@ -179,7 +179,7 @@ def test_two_way_join_is_never_reordered():
     metrics = MetricsRegistry()
     plan = analyzed("select * from a join b on a.k = b.k",
                     a=[(1, "x")], b=[(1, "y")])
-    out = reorder_joins(plan, StatsStore(), dict(DEFAULT_CONF), metrics)
+    out = reorder_joins(plan, StatsStore(), metrics)
     assert out is plan
     assert metrics.get("sql.cbo.reorders_applied") == 0.0
 
@@ -224,10 +224,9 @@ def _load_join(session, dim_keys):
     return "select name, v from fact join dim on fk = dk"
 
 
-def _cbo_conf(session, **extra):
+def _cbo_conf(session):
     session.conf["sql.cbo.enabled"] = True
     session.conf["sql.autoBroadcastJoinThreshold"] = 1  # force the shuffle path
-    session.conf.update(extra)
 
 
 def test_semijoin_reduction_prunes_probe_rows(session):
@@ -259,18 +258,20 @@ def test_semijoin_rejected_when_unprofitable(session):
     assert len(result.rows) == 2000
 
 
-def test_semijoin_skipped_when_build_too_large(session):
-    _cbo_conf(session, **{"sql.cbo.semijoin.maxBuildRows": 1})
+def test_semijoin_skipped_when_build_too_large(session, monkeypatch):
+    monkeypatch.setattr(planner, "SEMIJOIN_MAX_BUILD_ROWS", 1)
+    _cbo_conf(session)
     query = _load_join(session, dim_keys=[0, 1])
     result = session.sql(query).run()
     assert result.metrics.get("sql.cbo.semijoins_applied") == 0.0
     assert len(result.rows) == 800
 
 
-def test_semijoin_runtime_abort_on_key_blowup(session):
+def test_semijoin_runtime_abort_on_key_blowup(session, monkeypatch):
     # the planner commits, but at runtime the build has more distinct keys
-    # than sql.cbo.semijoin.maxKeys allows: fall back to the plain join
-    _cbo_conf(session, **{"sql.cbo.semijoin.maxKeys": 1})
+    # than SEMIJOIN_MAX_KEYS allows: fall back to the plain join
+    monkeypatch.setattr(planner, "SEMIJOIN_MAX_KEYS", 1)
+    _cbo_conf(session)
     query = _load_join(session, dim_keys=[0, 1])
     result = session.sql(query).run()
     assert result.metrics.get("sql.cbo.semijoins_applied") == 1.0

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from repro.common.conf import DEFAULT_CONF
 from repro.sql import expressions as E
 from repro.sql import logical as L
+from repro.sql import stats as stats_module
 from repro.sql.cbo import CardinalityEstimator, reorder_joins
 from repro.sql.stats import (
     STATS_ATTRIBUTE,
@@ -150,9 +150,9 @@ def test_analyze_table_is_idempotent(session):
     assert session.stats.get(key).columns["k"].ndv == 5
 
 
-def test_analyze_respects_histogram_bucket_conf(session):
+def test_analyze_respects_histogram_bucket_conf(session, monkeypatch):
+    monkeypatch.setattr(stats_module, "HISTOGRAM_BUCKETS", 2)
     session.conf["sql.cbo.enabled"] = True
-    session.conf["sql.cbo.histogram.buckets"] = 2
     data = [(i, "g") for i in range(40)]
     session.create_dataframe(data, SCHEMA).create_or_replace_temp_view("t")
     session.sql("ANALYZE TABLE t COMPUTE STATISTICS").collect()
@@ -187,7 +187,7 @@ def test_stale_stats_are_discarded_and_counted():
     ts.source_bytes = 1000
     store.put(stats_key(node), ts)
     metrics = MetricsRegistry()
-    est = CardinalityEstimator(store, dict(DEFAULT_CONF), metrics)
+    est = CardinalityEstimator(store, metrics)
     assert est.estimate(node).confident  # fresh: sizes match
 
     rel._size = 5000  # table grew 5x past the 2x staleness ratio
@@ -222,12 +222,12 @@ def test_stale_stats_keep_syntactic_join_order():
 
     plan = star([n for n, __ in nodes])
     metrics = MetricsRegistry()
-    reorder_joins(plan, store, dict(DEFAULT_CONF), metrics)
+    reorder_joins(plan, store, metrics)
     assert metrics.get("sql.cbo.reorders_applied") == 1.0
 
     nodes[0][1]._size = 50000  # fact table grew: its stats are now stale
     metrics2 = MetricsRegistry()
-    out2 = reorder_joins(plan, store, dict(DEFAULT_CONF), metrics2)
+    out2 = reorder_joins(plan, store, metrics2)
     assert out2 is plan  # syntactic order untouched
     assert metrics2.get("sql.cbo.reorders_rejected") == 1.0
     assert metrics2.get("sql.cbo.reorders_applied") == 0.0

@@ -7,13 +7,13 @@ and the optimizer's freshness- and cost-gated automatic rewriting.
 
 import pytest
 
-from repro.common.conf import resolve_conf
 from repro.common.errors import AnalysisError
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.coders import get_coder
 from repro.core.keys import encode_rowkey
 from repro.hbase import ConnectionFactory, Delete, Put
 from repro.sql import logical as L
+from repro.sql import views
 from repro.sql.parser import parse
 from repro.workloads import load_tpcds
 
@@ -36,7 +36,7 @@ def env():
 
 @pytest.fixture
 def vsession(env):
-    return env.new_session(conf={"sql.view.enabled": True})
+    return env.new_session()
 
 
 def rows_of(result):
@@ -82,19 +82,6 @@ def test_parse_other_view_statements():
                       L.RefreshMaterializedView)
     assert isinstance(parse("SHOW MATERIALIZED VIEWS"),
                       L.ShowMaterializedViews)
-
-
-# -- gating ----------------------------------------------------------------
-
-
-@pytest.mark.skipif(resolve_conf(None)["sql.view.enabled"],
-                    reason="views mode forced on by the environment")
-def test_statements_require_the_flag(env):
-    session = env.new_session()  # sql.view.enabled defaults to False
-    with pytest.raises(AnalysisError, match="sql.view.enabled"):
-        session.sql(f"CREATE MATERIALIZED VIEW mv AS {AGG_SQL}")
-    with pytest.raises(AnalysisError, match="sql.view.enabled"):
-        session.sql("SHOW MATERIALIZED VIEWS")
 
 
 # -- aggregate views -------------------------------------------------------
@@ -173,9 +160,9 @@ def test_stale_view_never_answers(env, vsession):
     assert rows_of(stale) == rows_of(fresh)
 
 
-def test_staleness_budget_admits_a_lagging_view(env):
-    session = env.new_session(conf={"sql.view.enabled": True,
-                                    "sql.view.staleness": 1e9})
+def test_staleness_budget_admits_a_lagging_view(env, monkeypatch):
+    monkeypatch.setattr(views, "MAX_STALENESS_S", 1e9)
+    session = env.new_session()
     session.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
     put_inventory(env, 2456100, 1, 1, 40)
     lagging = session.sql(AGG_SQL).run()
@@ -367,7 +354,7 @@ def test_hydrate_adopts_views_from_an_earlier_session(env, vsession):
     vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
     vsession.shutdown()
 
-    later = env.new_session(conf={"sql.view.enabled": True})
+    later = env.new_session()
     assert later.views.hydrate(env.cluster) == ["inv_by_date"]
     answered = later.sql(AGG_SQL).run()
     assert [e["action"] for e in answered.view_events] == ["rewrites"]
